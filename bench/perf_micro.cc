@@ -3,10 +3,10 @@
 // engineering throughput, not paper results.
 //
 // Two harnesses share this binary:
-//   - The paired kernel microbenches and the per-mode suite execution
-//     benches run first, each in a forked child (bench/bench_common.h):
-//     >= 5 timed iterations per kernel, median + p95 reported, written to
-//     FAIRCLEAN_BENCH_KERNELS_JSON (default BENCH_kernels.json).
+//   - The paired kernel microbenches run first, each in a forked child
+//     (bench/bench_common.h): >= 5 timed iterations per kernel, median +
+//     p95 reported, written to FAIRCLEAN_BENCH_KERNELS_JSON (default
+//     BENCH_kernels.json).
 //   - The remaining throughput benches run under google-benchmark, followed
 //     by the repeat/suite fan-out summary lines, and land in
 //     FAIRCLEAN_BENCH_JSON (default BENCH_perf.json) for CI trend tracking.
@@ -25,7 +25,6 @@
 #include "bench/bench_common.h"
 #include "bench/bench_util.h"
 #include "common/env.h"
-#include "common/exec_mode.h"
 #include "common/thread_pool.h"
 #include "core/cleaning.h"
 #include "exec/study_driver.h"
@@ -289,26 +288,9 @@ std::vector<ForkedCase> KernelCases() {
       (void)out;
     });
   }});
-  cases.push_back({"BM_KnnPredictNaive/9000", [] {
-    // The exact reference path naive mode runs: per-query distance rows,
-    // sequential, no packing (KnnOptions::blocked = false).
-    auto data = std::make_shared<EncodedData>(EncodeAdult(9000));
-    KnnOptions options;
-    options.blocked = false;
-    auto model = std::make_shared<KnnClassifier>(options);
-    Rng rng(23);
-    model->Fit(data->x, data->y, &rng).ok();
-    std::vector<size_t> query_rows(kKnnBenchQueries);
-    for (size_t i = 0; i < kKnnBenchQueries; ++i) query_rows[i] = i;
-    auto queries = std::make_shared<Matrix>(data->x.TakeRows(query_rows));
-    return std::function<void()>([data, model, queries] {
-      std::vector<double> out = model->PredictProba(*queries);
-      (void)out;
-    });
-  }});
   cases.push_back({"BM_TuningFoldDataPerGridPoint/4000", [] {
-    // What naive-mode TuneAndFit does: re-slice (and re-presort) every
-    // fold for each of the three grid points.
+    // The path the fold-data cache replaced: re-slice (and re-presort)
+    // every fold for each of the three grid points.
     auto data = std::make_shared<EncodedData>(EncodeAdult(4000));
     Rng fold_rng(31);
     auto folds = std::make_shared<std::vector<TrainTestIndices>>(
@@ -336,66 +318,17 @@ std::vector<ForkedCase> KernelCases() {
   return cases;
 }
 
-// --- Forked per-mode suite execution bench (DESIGN.md §15) --------------
-// The committed suite fan-out bench of the execution-mode ladder: the
-// 9-cell missing-values scope (adult/folk/german x three models) through
-// the suite scheduler at a fixed 4-thread width, one forked child per
-// timed sample, caching disabled so every iteration measures compute. The
-// exec_fused_speedup ratio (naive median / fused median) is the headline
-// "speedup" of BENCH_kernels.json.
-
-constexpr size_t kExecBenchThreads = 4;
-
-std::function<std::function<void()>()> ExecModeBody(ExecMode mode,
-                                                    size_t sample) {
-  return [mode, sample] {
-    return std::function<void()>([mode, sample] {
-      sched::SuiteOptions options;
-      options.study.sample_size = sample;
-      options.study.num_repeats = 2;
-      options.study.cv_folds = 3;
-      options.study.seed = 42;
-      options.study.exec_mode = mode;
-      options.threads = kExecBenchThreads;
-      options.cache_dir.clear();
-      sched::SuiteScheduler scheduler(options);
-      scheduler.RunScopeCells(sched::MissingScope()).ValueOrDie();
-    });
-  };
-}
-
-// Runs the forked kernel and exec-mode cases and records their stats.
-// FAIRCLEAN_BENCH_KERNEL_ITERS (default 7, floor 5) and
-// FAIRCLEAN_BENCH_EXEC_ITERS (default 3) control the sample counts; either
-// set to 0 skips that section. FAIRCLEAN_BENCH_EXEC_SAMPLE (default 8000)
-// scales the suite bench rows.
+// Runs the forked kernel cases and records their stats.
+// FAIRCLEAN_BENCH_KERNEL_ITERS (default 7, floor 5) controls the sample
+// count; 0 skips the section.
 void RunForkedCases(std::map<std::string, double>* ops,
                     std::map<std::string, double>* p95,
                     std::map<std::string, size_t>* iters) {
   int64_t kernel_iters =
       GetEnvCount("FAIRCLEAN_BENCH_KERNEL_ITERS", 7).ValueOrDie();
-  if (kernel_iters > 0) kernel_iters = std::max<int64_t>(kernel_iters, 5);
-  int64_t exec_iters =
-      GetEnvCount("FAIRCLEAN_BENCH_EXEC_ITERS", 3).ValueOrDie();
-  int64_t exec_sample =
-      GetEnvCount("FAIRCLEAN_BENCH_EXEC_SAMPLE", 8000).ValueOrDie();
-
-  std::vector<std::pair<ForkedCase, size_t>> cases;
-  if (kernel_iters > 0) {
-    for (ForkedCase& c : KernelCases()) {
-      cases.emplace_back(std::move(c), static_cast<size_t>(kernel_iters));
-    }
-  }
-  if (exec_iters > 0) {
-    for (ExecMode mode :
-         {ExecMode::kNaive, ExecMode::kShared, ExecMode::kFused}) {
-      ForkedCase c;
-      c.key = std::string("exec_") + ExecModeName(mode) + "_4t";
-      c.make_body = ExecModeBody(mode, static_cast<size_t>(exec_sample));
-      cases.emplace_back(std::move(c), static_cast<size_t>(exec_iters));
-    }
-  }
-  for (const auto& [c, n] : cases) {
+  if (kernel_iters <= 0) return;
+  const size_t n = static_cast<size_t>(std::max<int64_t>(kernel_iters, 5));
+  for (const ForkedCase& c : KernelCases()) {
     Result<bench::BenchStats> stats =
         bench::RunForkedBench(c.key, n, c.make_body);
     if (!stats.ok()) {
@@ -427,12 +360,8 @@ void WriteKernelBenchJson(std::map<std::string, double> ops,
   const KernelPair pairs[] = {
       {"gbdt_presort_reuse_speedup", "BM_GbdtFitPerRoundSort/8000",
        "BM_GbdtFitPresortReuse/8000"},
-      {"knn_blocked_speedup", "BM_KnnPredictNaive/9000",
-       "BM_KnnPredictBlocked/9000"},
       {"fold_cache_speedup", "BM_TuningFoldDataPerGridPoint/4000",
        "BM_TuningFoldDataShared/4000"},
-      {"exec_shared_speedup", "exec_naive_4t", "exec_shared_4t"},
-      {"exec_fused_speedup", "exec_naive_4t", "exec_fused_4t"},
   };
   double headline_speedup = 1.0;
   for (const KernelPair& pair : pairs) {
@@ -447,11 +376,9 @@ void WriteKernelBenchJson(std::map<std::string, double> ops,
     std::printf("kernel %s: %.2fx (%s %.4fs -> %s %.4fs)\n", pair.label,
                 ratio, pair.baseline, baseline->second, pair.optimized,
                 optimized->second);
-    // The exec-mode ladder is the headline once it ran; the historical
-    // GBDT pair keeps kernels-only runs meaningful.
-    if (std::string(pair.label) == "exec_fused_speedup" ||
-        (headline_speedup == 1.0 &&
-         std::string(pair.label) == "gbdt_presort_reuse_speedup")) {
+    // GBDT fitting dominates the grid's compute, so its pair is the
+    // headline.
+    if (std::string(pair.label) == "gbdt_presort_reuse_speedup") {
       headline_speedup = ratio;
     }
   }
@@ -459,8 +386,10 @@ void WriteKernelBenchJson(std::map<std::string, double> ops,
   std::string json_path = GetEnvString("FAIRCLEAN_BENCH_KERNELS_JSON",
                                        "BENCH_kernels.json");
   if (json_path.empty()) return;
-  Status written = bench::WriteKernelStatsJson(
-      json_path, ops, p95, iters, kExecBenchThreads, headline_speedup);
+  Status written =
+      bench::WriteKernelStatsJson(json_path, ops, p95, iters,
+                                  ThreadPool::DefaultThreadCount(),
+                                  headline_speedup);
   if (!written.ok()) {
     std::fprintf(stderr, "cannot write %s: %s\n", json_path.c_str(),
                  written.ToString().c_str());

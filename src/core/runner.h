@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "common/exec_mode.h"
 #include "core/cleaning.h"
 #include "core/impact.h"
 #include "core/results.h"
@@ -34,11 +33,6 @@ struct StudyOptions {
   uint64_t seed = 42;
   /// Significance level before Bonferroni adjustment.
   double alpha = 0.05;
-  /// Execution mode (FAIRCLEAN_EXEC_MODE): how much work the tuning and
-  /// predict kernels share. Every mode produces byte-identical results;
-  /// the knob exists so each sharing layer is independently measurable
-  /// (DESIGN.md §15).
-  ExecMode exec_mode = ExecMode::kFused;
 };
 
 /// Reads StudyOptions from the environment (FAIRCLEAN_SAMPLE,

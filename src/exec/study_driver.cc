@@ -221,6 +221,7 @@ std::string RunDiagnostics::Format() const {
 
 StudyDriver::StudyDriver(StudyDriverOptions options)
     : options_(std::move(options)),
+      store_(options_.cache_dir),
       metrics_(&obs::MetricsRegistry::Global()),
       start_(std::chrono::steady_clock::now()) {
   // Touch the tracer so FAIRCLEAN_TRACE takes effect before the first
@@ -327,17 +328,6 @@ std::string StudyDriver::JournalPath(const StudyDriverOptions& options,
   return CachePath(options, dataset, error_type, model) + ".journal";
 }
 
-Status StudyDriver::EnsureStore() {
-  if (store_ != nullptr) return Status::OK();
-  if (options_.blob_store != nullptr) {
-    store_ = options_.blob_store;
-    return Status::OK();
-  }
-  FC_ASSIGN_OR_RETURN(store_,
-                      store::OpenBlobStoreFromEnv(options_.cache_dir));
-  return Status::OK();
-}
-
 double StudyDriver::ElapsedSeconds() const {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start_)
@@ -420,7 +410,7 @@ Status StudyDriver::MergeSlot(size_t slot, SlotOutcome outcome,
 
   if (persist) {
     StageScope stage(StageWall("checkpoint"), "checkpoint");
-    Status journaled = store_->Write(
+    Status journaled = store_.Write(
         journal_key, AppendChecksumFooter(result->records.ToJson()));
     if (journaled.ok()) {
       Count("driver.checkpoints")->Increment();
@@ -450,13 +440,12 @@ Result<CleaningExperimentResult> StudyDriver::RunOrLoad(
   Count("driver.experiments")->Increment();
   // Consume the wave plan's pre-resolved family / group definitions when
   // one was handed down; the standalone path derives them here. Both are
-  // pure functions of (model, exec_mode) / the dataset spec.
+  // pure functions of the model name / the dataset spec.
   TunedModelFamily family;
   if (plan != nullptr && plan->family != nullptr) {
     family = *plan->family;
   } else {
-    FC_ASSIGN_OR_RETURN(
-        family, ModelFamilyByName(model, options_.study.exec_mode));
+    FC_ASSIGN_OR_RETURN(family, ModelFamilyByName(model));
   }
   const std::vector<GroupDefinition>* plan_groups =
       plan != nullptr ? plan->groups.get() : nullptr;
@@ -470,11 +459,10 @@ Result<CleaningExperimentResult> StudyDriver::RunOrLoad(
   if (persist) {
     std::error_code ec;
     std::filesystem::create_directories(options_.cache_dir, ec);
-    FC_RETURN_IF_ERROR(EnsureStore());
     cache_key = CacheKey(options_, dataset.spec.name, error_type, model);
     journal_key = cache_key + ".journal";
     auto contains = [&](const std::string& key) {
-      Result<bool> found = store_->Contains(key);
+      Result<bool> found = store_.Contains(key);
       if (!found.ok()) {
         FC_LOG_WARN("driver", "store lookup of %s failed: %s", key.c_str(),
                     found.status().ToString().c_str());
@@ -487,9 +475,9 @@ Result<CleaningExperimentResult> StudyDriver::RunOrLoad(
     // 1) A completed experiment in the result cache.
     if (contains(cache_key)) {
       Result<ResultStore> store = [&]() -> Result<ResultStore> {
-        FC_ASSIGN_OR_RETURN(std::string bytes, store_->Read(cache_key));
+        FC_ASSIGN_OR_RETURN(std::string bytes, store_.Read(cache_key));
         return ResultStore::LoadFromString(bytes,
-                                           store_->Describe(cache_key));
+                                           store_.Describe(cache_key));
       }();
       if (!store.ok()) {
         // Truncated, bit-flipped, or unparsable: quarantine the evidence
@@ -498,9 +486,9 @@ Result<CleaningExperimentResult> StudyDriver::RunOrLoad(
         if (store.status().code() != StatusCode::kIoError &&
             store.status().code() != StatusCode::kNotFound) {
           Count("driver.corrupt_quarantined")->Increment();
-          Result<std::string> moved = store_->Quarantine(cache_key);
+          Result<std::string> moved = store_.Quarantine(cache_key);
           FC_LOG_WARN("driver", "corrupt cache %s (%s) -> %s",
-                      store_->Describe(cache_key).c_str(),
+                      store_.Describe(cache_key).c_str(),
                       store.status().ToString().c_str(),
                       moved.ok() ? moved->c_str() : "quarantine failed");
         } else {
@@ -529,15 +517,15 @@ Result<CleaningExperimentResult> StudyDriver::RunOrLoad(
     }
 
     // 2) A journal from an interrupted run. The journal read keeps the
-    // historical "cache_read" fault probe (ReadChecksummedFile carried it
-    // on the flat path) and, unlike the cache, strictly requires a footer.
+    // historical "cache_read" fault probe (ReadChecksummedFile carried it)
+    // and, unlike the cache, strictly requires a footer.
     if (contains(journal_key)) {
       Result<std::string> body = [&]() -> Result<std::string> {
         FC_RETURN_IF_ERROR(FaultInjector::Global().Inject("cache_read"));
-        FC_ASSIGN_OR_RETURN(std::string bytes, store_->Read(journal_key));
+        FC_ASSIGN_OR_RETURN(std::string bytes, store_.Read(journal_key));
         Result<std::string> verified = VerifyChecksumFooter(bytes);
         if (!verified.ok()) {
-          return Status::InvalidArgument(store_->Describe(journal_key) +
+          return Status::InvalidArgument(store_.Describe(journal_key) +
                                          ": " +
                                          verified.status().message());
         }
@@ -568,9 +556,9 @@ Result<CleaningExperimentResult> StudyDriver::RunOrLoad(
                     model.c_str(), resume_from, options_.study.num_repeats);
       } else {
         Count("driver.corrupt_quarantined")->Increment();
-        Result<std::string> moved = store_->Quarantine(journal_key);
+        Result<std::string> moved = store_.Quarantine(journal_key);
         FC_LOG_WARN("driver", "corrupt journal %s (%s) -> %s",
-                    store_->Describe(journal_key).c_str(),
+                    store_.Describe(journal_key).c_str(),
                     resumed.status().ToString().c_str(),
                     moved.ok() ? moved->c_str() : "quarantine failed");
       }
@@ -681,13 +669,13 @@ Result<CleaningExperimentResult> StudyDriver::RunOrLoad(
 
   if (persist) {
     StageScope stage(StageWall("finalize"), "finalize");
-    Status saved = store_->Write(
+    Status saved = store_.Write(
         cache_key, AppendChecksumFooter(result.records.ToJson()));
     if (!saved.ok()) {
       FC_LOG_WARN("driver", "cache write failed: %s",
                   saved.ToString().c_str());
     } else {
-      Status removed = store_->Remove(journal_key);
+      Status removed = store_.Remove(journal_key);
       if (!removed.ok()) {
         FC_LOG_WARN("driver", "journal removal failed: %s",
                     removed.ToString().c_str());

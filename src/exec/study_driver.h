@@ -28,8 +28,7 @@ struct CellPlanInputs {
   /// Group definitions derived from the dataset spec
   /// (GroupDefinitionsFor), shared by every cell of the group.
   std::shared_ptr<const std::vector<GroupDefinition>> groups;
-  /// Mode-resolved tuned model family for this cell's model name
-  /// (ModelFamilyByName under the study's exec_mode).
+  /// Tuned model family for this cell's model name (ModelFamilyByName).
   std::shared_ptr<const TunedModelFamily> family;
 };
 
@@ -66,14 +65,6 @@ struct StudyDriverOptions {
   /// lease here, so a lease outlives any cell whose repeats keep making
   /// progress; tests also use it as a deterministic mid-cell crash point.
   std::function<void()> checkpoint_hook;
-  /// Byte store backing the result cache and repeat journals. When null
-  /// and cache_dir is non-empty, the driver opens the backend selected by
-  /// FAIRCLEAN_STORE / FAIRCLEAN_STORE_CACHE_PAGES /
-  /// FAIRCLEAN_STORE_COMPRESS on first use. Callers running several
-  /// drivers against one cache_dir (the suite scheduler, the advisor
-  /// service) must share one instance: the paged backend's single pages
-  /// file has exactly one writer per process.
-  std::shared_ptr<store::BlobStore> blob_store;
 };
 
 /// Structured counters describing how a driver run degraded (or didn't):
@@ -154,8 +145,7 @@ class StudyDriver {
   /// registry, so a FAIRCLEAN_METRICS export sees the same numbers.
   RunDiagnostics diagnostics() const;
 
-  /// Store key (cache-file basename) for one configuration — the unit of
-  /// addressing shared by every backend.
+  /// Store key (cache-file basename) for one configuration.
   static std::string CacheKey(const StudyDriverOptions& options,
                               const std::string& dataset,
                               const std::string& error_type,
@@ -167,14 +157,14 @@ class StudyDriver {
                                 const std::string& error_type,
                                 const std::string& model);
 
-  /// Cache file for one configuration under the flat backend (same layout
-  /// the benches always used, so pre-existing caches keep working).
+  /// Cache file for one configuration (same layout the benches always
+  /// used, so pre-existing caches keep working).
   static std::string CachePath(const StudyDriverOptions& options,
                                const std::string& dataset,
                                const std::string& error_type,
                                const std::string& model);
 
-  /// Journal file used while a configuration is in flight (flat backend).
+  /// Journal file used while a configuration is in flight.
   static std::string JournalPath(const StudyDriverOptions& options,
                                  const std::string& dataset,
                                  const std::string& error_type,
@@ -214,10 +204,6 @@ class StudyDriver {
                    const std::string& journal_key, bool persist,
                    CleaningExperimentResult* result, Status* last_failure);
 
-  /// Resolves the blob store (options_.blob_store, else the env-selected
-  /// backend over cache_dir) on first persistent RunOrLoad.
-  Status EnsureStore();
-
   /// Effective worker count (resolves options_.threads == 0 via
   /// FAIRCLEAN_THREADS / hardware_concurrency).
   size_t EffectiveThreads() const;
@@ -228,8 +214,8 @@ class StudyDriver {
   obs::Histogram* StageCpu(const char* stage);
 
   StudyDriverOptions options_;
-  /// Backend serving cache/journal bytes (see StudyDriverOptions::blob_store).
-  std::shared_ptr<store::BlobStore> store_;
+  /// Cache/journal bytes under options_.cache_dir.
+  store::FlatFileStore store_;
   /// Scoped registry: every value recorded here forwards to the same-named
   /// instrument in MetricsRegistry::Global(), so one driver's diagnostics
   /// stay separable while the process-wide export aggregates all of them.

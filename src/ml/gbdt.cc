@@ -147,36 +147,25 @@ Status GradientBoostedTrees::FitWithPresort(const Matrix& x,
 std::vector<double> GradientBoostedTrees::PredictProba(const Matrix& x) const {
   FC_CHECK_MSG(fitted_, "PredictProba before Fit");
   std::vector<double> out(x.rows());
-  if (options_.stacked_predict) {
-    // GEMM-shaped stacked scan: trees outer, row blocks inner, so one
-    // tree's node array is walked by a whole block of rows before moving
-    // on. Each row's margin still accumulates base + lr*tree_0 + lr*tree_1
-    // + ... in ascending tree order — the identical float add sequence as
-    // the rows-outer loop below — so the scores are bit-equal.
-    constexpr size_t kRowBlock = 64;
-    for (size_t begin = 0; begin < x.rows(); begin += kRowBlock) {
-      size_t end = std::min(begin + kRowBlock, x.rows());
-      double margins[kRowBlock];
-      for (size_t i = begin; i < end; ++i) margins[i - begin] = base_score_;
-      for (const RegressionTree& tree : trees_) {
-        for (size_t i = begin; i < end; ++i) {
-          margins[i - begin] +=
-              options_.learning_rate * tree.PredictOne(x.Row(i));
-        }
-      }
-      for (size_t i = begin; i < end; ++i) {
-        out[i] = Sigmoid(margins[i - begin]);
-      }
-    }
-    return out;
-  }
-  for (size_t i = 0; i < x.rows(); ++i) {
-    const double* row = x.Row(i);
-    double margin = base_score_;
+  // Stacked scan: trees outer, row blocks inner, so one tree's node array
+  // is walked by a whole block of rows before moving on. Each row's margin
+  // accumulates base + lr*tree_0 + lr*tree_1 + ... in ascending tree order
+  // — the float add sequence of a per-row walk — so every score equals
+  // predicting that row on its own.
+  constexpr size_t kRowBlock = 64;
+  for (size_t begin = 0; begin < x.rows(); begin += kRowBlock) {
+    size_t end = std::min(begin + kRowBlock, x.rows());
+    double margins[kRowBlock];
+    for (size_t i = begin; i < end; ++i) margins[i - begin] = base_score_;
     for (const RegressionTree& tree : trees_) {
-      margin += options_.learning_rate * tree.PredictOne(row);
+      for (size_t i = begin; i < end; ++i) {
+        margins[i - begin] +=
+            options_.learning_rate * tree.PredictOne(x.Row(i));
+      }
     }
-    out[i] = Sigmoid(margin);
+    for (size_t i = begin; i < end; ++i) {
+      out[i] = Sigmoid(margins[i - begin]);
+    }
   }
   return out;
 }

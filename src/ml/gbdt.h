@@ -29,12 +29,6 @@ struct GbdtOptions {
   /// two settings — keep true everywhere except perf_micro's on/off
   /// comparison.
   bool presort_reuse = true;
-  /// Fused-mode kernel switch: PredictProba walks trees-outer over blocks
-  /// of rows (each tree's nodes stay cache-hot across the block) instead of
-  /// rows-outer over all trees. Every row still accumulates
-  /// base + lr*tree0 + lr*tree1 + ... in the same order, so the scores are
-  /// bit-identical to the plain path (DESIGN.md §15).
-  bool stacked_predict = false;
   RegressionTreeOptions tree;
 };
 

@@ -80,28 +80,12 @@ std::vector<double> KnnClassifier::PredictProba(const Matrix& x) const {
   distance_pairs->Increment(static_cast<uint64_t>(n_queries) * n_train);
 
   std::vector<double> out(n_queries);
-  if (!options_.blocked) {
-    // Naive-mode reference path: one distance row per query, sequential.
-    // Bit-identical to the blocked kernel below (pinned by the
-    // kernel-identity tests) — it only forgoes the batching.
-    std::vector<double> sq(n_train);
-    std::vector<std::pair<double, size_t>> best(k);
-    for (size_t q = 0; q < n_queries; ++q) {
-      SquaredDistancesToRow(train_x_, x.Row(q), sq.data());
-      SelectNearest(sq.data(), n_train, k, &best);
-      int positives = 0;
-      for (size_t j = 0; j < k; ++j) positives += train_y_[best[j].second];
-      out[q] = static_cast<double>(positives) / static_cast<double>(k);
-    }
-    return out;
-  }
   size_t num_blocks = (n_queries + kQueryBlock - 1) / kQueryBlock;
-  // Fused mode packs the train panels once per call and shares them across
-  // every query block; otherwise each block re-packs (the pre-fused
-  // behavior). The packing is pure data movement, so both paths produce
-  // the same bits.
+  // Pack the train panels once per call and share them across every query
+  // block; the packing is pure data movement, so distances stay bit-equal
+  // to the reference kernel (DESIGN.md §15).
   PackedPanels packed;
-  if (options_.packed_reuse) PackTrainPanels(train_x_, &packed);
+  PackTrainPanels(train_x_, &packed);
   ThreadPool* pool = ThreadPool::SharedForFolds();
   RunIndexed(pool, num_blocks, [&](size_t block) -> int {
     size_t begin = block * kQueryBlock;
@@ -110,12 +94,8 @@ std::vector<double> KnnClassifier::PredictProba(const Matrix& x) const {
     // out of the per-query loop).
     std::vector<double> sq((end - begin) * n_train);
     std::vector<std::pair<double, size_t>> best(k);
-    if (options_.packed_reuse) {
-      BlockedSquaredDistancesPacked(x, begin, end, train_x_, packed,
-                                    sq.data());
-    } else {
-      BlockedSquaredDistances(x, begin, end, train_x_, sq.data());
-    }
+    BlockedSquaredDistancesPacked(x, begin, end, train_x_, packed,
+                                  sq.data());
     for (size_t q = begin; q < end; ++q) {
       const double* sq_row = sq.data() + (q - begin) * n_train;
       SelectNearest(sq_row, n_train, k, &best);

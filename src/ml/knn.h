@@ -13,16 +13,6 @@ namespace fairclean {
 struct KnnOptions {
   /// Number of neighbors — the hyperparameter the paper tunes.
   int k = 15;
-  /// Fused-mode kernel switch: pack the train matrix into register panels
-  /// once per PredictProba call and reuse the packing across every query
-  /// block, instead of re-packing inside each block. Pure data-movement
-  /// change — results are bit-identical either way (DESIGN.md §15).
-  bool packed_reuse = false;
-  /// Use the blocked many-RHS distance kernel. false runs the per-query
-  /// reference kernel (one SquaredDistancesToRow per query, no blocking,
-  /// no fan-out) — the deliberately unbatched naive-mode baseline. The
-  /// kernel-identity tests pin both paths to the same bits.
-  bool blocked = true;
 };
 
 /// Brute-force k-nearest-neighbors classifier with Euclidean distance on

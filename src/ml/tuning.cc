@@ -57,57 +57,48 @@ TunedModelFamily LogRegFamily() {
   return family;
 }
 
-TunedModelFamily KnnFamily(ExecMode mode) {
+TunedModelFamily KnnFamily() {
   TunedModelFamily family;
   family.name = "knn";
   family.param_grid = {5.0, 15.0, 31.0};
-  bool fused = mode == ExecMode::kFused;
-  bool blocked = mode != ExecMode::kNaive;
-  family.make = [fused, blocked](double k) -> std::unique_ptr<Classifier> {
+  family.make = [](double k) -> std::unique_ptr<Classifier> {
     KnnOptions options;
     options.k = static_cast<int>(k);
-    options.packed_reuse = fused;
-    options.blocked = blocked;
     return std::make_unique<KnnClassifier>(options);
   };
-  if (fused) {
-    std::vector<int> ks;
-    ks.reserve(family.param_grid.size());
-    for (double k : family.param_grid) ks.push_back(static_cast<int>(k));
-    family.fused_grid_eval =
-        [ks](const TuningFoldData& data) -> Result<std::vector<double>> {
-      // Mirror KnnClassifier::Fit's failure condition so a degenerate fold
-      // is skipped for every grid entry, exactly like the per-point path.
-      if (data.train_x.rows() == 0) {
-        return Status::InvalidArgument("empty training set");
-      }
-      return KnnGridAccuracies(data.train_x, data.train_y, data.valid_x,
-                               data.valid_y, ks);
-    };
-  }
+  std::vector<int> ks;
+  ks.reserve(family.param_grid.size());
+  for (double k : family.param_grid) ks.push_back(static_cast<int>(k));
+  family.fused_grid_eval =
+      [ks](const TuningFoldData& data) -> Result<std::vector<double>> {
+    // Mirror KnnClassifier::Fit's failure condition so a degenerate fold
+    // is skipped for every grid entry, exactly like the per-point path.
+    if (data.train_x.rows() == 0) {
+      return Status::InvalidArgument("empty training set");
+    }
+    return KnnGridAccuracies(data.train_x, data.train_y, data.valid_x,
+                             data.valid_y, ks);
+  };
   return family;
 }
 
-TunedModelFamily GbdtFamily(ExecMode mode) {
+TunedModelFamily GbdtFamily() {
   TunedModelFamily family;
   family.name = "xgboost";
   family.param_grid = {2.0, 3.0, 4.0};
-  bool fused = mode == ExecMode::kFused;
-  family.make = [fused](double depth) -> std::unique_ptr<Classifier> {
+  family.make = [](double depth) -> std::unique_ptr<Classifier> {
     GbdtOptions options;
     options.max_depth = static_cast<int>(depth);
-    options.stacked_predict = fused;
     return std::make_unique<GradientBoostedTrees>(options);
   };
   family.wants_presort = true;
   return family;
 }
 
-Result<TunedModelFamily> ModelFamilyByName(const std::string& name,
-                                           ExecMode mode) {
+Result<TunedModelFamily> ModelFamilyByName(const std::string& name) {
   if (name == "log-reg") return LogRegFamily();
-  if (name == "knn") return KnnFamily(mode);
-  if (name == "xgboost") return GbdtFamily(mode);
+  if (name == "knn") return KnnFamily();
+  if (name == "xgboost") return GbdtFamily();
   return Status::NotFound("unknown model family: " + name);
 }
 
@@ -117,7 +108,7 @@ std::vector<std::string> AllModelNames() {
 
 Result<TuneOutcome> TuneAndFit(const TunedModelFamily& family, const Matrix& x,
                                const std::vector<int>& y, size_t num_folds,
-                               Rng* rng, ExecMode mode) {
+                               Rng* rng) {
   if (family.param_grid.empty()) {
     return Status::InvalidArgument("empty hyperparameter grid");
   }
@@ -143,16 +134,12 @@ Result<TuneOutcome> TuneAndFit(const TunedModelFamily& family, const Matrix& x,
   // for presort-aware families, the per-fold feature presort) once and
   // reuse them for every grid point. TakeRows does not consume the rng, so
   // hoisting it out of the grid loop leaves all random draws — and thus
-  // all scores — byte-identical. Naive mode deliberately re-pays this
-  // materialization per grid point inside the loop below (the pre-cache
-  // behavior the committed fold_cache baseline measures against).
-  std::vector<TuningFoldData> fold_data;
-  if (mode != ExecMode::kNaive) {
-    fold_data = MaterializeTuningFolds(x, y, folds, family.wants_presort);
-  }
+  // all scores — byte-identical.
+  const std::vector<TuningFoldData> fold_data =
+      MaterializeTuningFolds(x, y, folds, family.wants_presort);
   double best_accuracy = -1.0;
   double best_param = family.param_grid.front();
-  if (mode == ExecMode::kFused && family.fused_grid_eval) {
+  if (family.fused_grid_eval) {
     // Batched grid evaluation: one fused pass per fold answers every grid
     // entry. The per-grid-point loop forks one rng per (param, fold) — the
     // fits below never happen here, but Fork advances the parent engine,
@@ -199,9 +186,6 @@ Result<TuneOutcome> TuneAndFit(const TunedModelFamily& family, const Matrix& x,
     }
   } else {
     for (double param : family.param_grid) {
-      if (mode == ExecMode::kNaive) {
-        fold_data = MaterializeTuningFolds(x, y, folds, family.wants_presort);
-      }
       // Fork the per-fold fit RNGs up front, in fold order: Fork advances
       // the parent engine, so the fork order (not just the salt) must match
       // the sequential loop for scores to stay byte-identical under

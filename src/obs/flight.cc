@@ -376,10 +376,6 @@ const char* FlightEventTypeName(uint8_t type) {
       return "span_end";
     case FlightEventType::kFault:
       return "fault";
-    case FlightEventType::kTxnCommit:
-      return "txn_commit";
-    case FlightEventType::kTxnRollback:
-      return "txn_rollback";
     case FlightEventType::kShed:
       return "shed";
     case FlightEventType::kCheckpoint:

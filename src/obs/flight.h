@@ -11,11 +11,11 @@ namespace obs {
 
 /// Always-on crash flight recorder (DESIGN.md §14): every thread owns a
 /// lock-free ring of compact 16-byte binary events (span begin/end, fault
-/// fires, store transaction commits/rollbacks, request sheds, journal
-/// checkpoints). The enabled cost per event is a clock read plus a handful
-/// of stores into thread-local memory — no locks, no allocation after the
-/// ring exists — so the recorder stays armed in production and the last
-/// seconds before a crash are always reconstructible.
+/// fires, request sheds, journal checkpoints). The enabled cost per event
+/// is a clock read plus a handful of stores into thread-local memory — no
+/// locks, no allocation after the ring exists — so the recorder stays
+/// armed in production and the last seconds before a crash are always
+/// reconstructible.
 ///
 /// The rings are dumped to a single binary file (`fairclean.flight` by
 /// default) on a fatal signal, on deadline exhaustion, or on an explicit
@@ -29,8 +29,6 @@ enum class FlightEventType : uint8_t {
   kSpanBegin = 1,    ///< site = span category; arg = span depth
   kSpanEnd = 2,      ///< site = span category; arg = duration in us
   kFault = 3,        ///< site = "fault:<site>"; injected fault fired
-  kTxnCommit = 4,    ///< site = "store.txn"; arg = committed txn id
-  kTxnRollback = 5,  ///< site = "store.txn"; arg = rolled-back txn id
   kShed = 6,         ///< site = "serve.shed"; admission or connection shed
   kCheckpoint = 7,   ///< site = "exec.checkpoint"; journal snapshot written
   kDeadline = 8,     ///< site names the layer that tripped the deadline

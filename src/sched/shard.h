@@ -48,11 +48,11 @@ std::vector<size_t> StaticShardIndices(size_t item_count, size_t shard_index,
 
 /// Lease-store key of one cell's claim. Distinct namespace from cache
 /// records on purpose: claims live in the LeaseStore (flat files under
-/// <cache_dir>/claims), never in the BlobStore or ArtifactStore, so they
+/// <cache_dir>/claims), never in the FlatFileStore or ArtifactStore, so they
 /// cannot leak into artifact-reuse counters or cache-byte comparisons.
 std::string ClaimKeyFor(const CellKey& cell);
 
-/// BlobStore key of a cell's persisted classification (written next to the
+/// Cache-store key of a cell's persisted classification (written next to the
 /// cell's cache record, read back on cache hits so fresh, warm, resumed,
 /// and merged runs report identical classes).
 std::string ClassKeyFor(const std::string& cache_key);

@@ -32,6 +32,13 @@ std::string JsonString(const std::string& text) {
 
 constexpr char kMergeClaimKey[] = "__merge__";
 
+/// Lease key a claim shard holds from start until its partial report is
+/// written. A merger waiting on a sibling's partial reads it to tell a
+/// sibling that is still finishing from one that died.
+std::string PresenceKey(const ShardSpec& shard) {
+  return StrFormat("shard:%zuof%zu", shard.index + 1, shard.count);
+}
+
 /// Backoff between claim scans when every remaining cell of a wave is held
 /// by a live sibling: short enough to notice a freed or expired lease
 /// quickly, long enough not to hammer the claims directory.
@@ -96,8 +103,8 @@ Status SuiteScheduler::ProduceWaveCells(const SuiteSpec& spec,
   // ascending node id as the deterministic tiebreak.
   std::vector<size_t> order = ids;
   std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    int ra = CellCostRank(graph.nodes()[a].cell, options_.study.exec_mode);
-    int rb = CellCostRank(graph.nodes()[b].cell, options_.study.exec_mode);
+    int ra = CellCostRank(graph.nodes()[a].cell);
+    int rb = CellCostRank(graph.nodes()[b].cell);
     if (ra != rb) return ra > rb;
     return a < b;
   });
@@ -124,7 +131,7 @@ Status SuiteScheduler::RunClaimWave(const SuiteSpec& spec,
                                     size_t wave_index,
                                     const std::vector<size_t>& cell_ids,
                                     std::vector<size_t>* produced_ids) {
-  FC_ASSIGN_OR_RETURN(std::shared_ptr<store::BlobStore> blob, SharedStore());
+  store::FlatFileStore blob(options_.cache_dir);
   const std::string owner = options_.shard.Label();
   std::vector<size_t> pending = cell_ids;
   while (!pending.empty()) {
@@ -148,7 +155,7 @@ Status SuiteScheduler::RunClaimWave(const SuiteSpec& spec,
       // Done marker = the cell's cache record exists. A sibling (or a
       // previous incarnation of this shard) finished it; the merge pass
       // will cache-hit it, so it belongs in nobody's new partial.
-      FC_ASSIGN_OR_RETURN(bool cached, blob->Contains(CellCacheKey(cell)));
+      FC_ASSIGN_OR_RETURN(bool cached, blob.Contains(CellCacheKey(cell)));
       if (cached) {
         std::lock_guard<std::mutex> lock(shard_mutex_);
         ++shard_counters_.cache_skips;
@@ -177,7 +184,7 @@ Status SuiteScheduler::RunClaimWave(const SuiteSpec& spec,
       // write the cache record strictly before releasing, so under the
       // claim this check is authoritative and closes the race.
       FC_ASSIGN_OR_RETURN(bool now_cached,
-                          blob->Contains(CellCacheKey(cell)));
+                          blob.Contains(CellCacheKey(cell)));
       if (now_cached) {
         Status released = lease_store_->Release(*token);
         if (!released.ok()) {
@@ -328,11 +335,6 @@ Status SuiteScheduler::RunSuiteShard(const SuiteSpec& spec,
         "sharded runs need a cache dir: the shared cache is the "
         "coordination plane");
   }
-  if (options_.store_backend != "flat") {
-    return Status::InvalidArgument(
-        "sharded runs require the flat store backend: the paged backend "
-        "has a single writer per process");
-  }
   if (options_.report_path.empty()) {
     return Status::InvalidArgument(
         "sharded runs need a report path for the per-shard partial report");
@@ -341,9 +343,15 @@ Status SuiteScheduler::RunSuiteShard(const SuiteSpec& spec,
   obs::TraceSpan span("sched", [&] {
     return "suite-shard " + spec.name + " " + shard.Label();
   });
-  if (shard.mode == ShardMode::kClaim && lease_store_ == nullptr) {
-    lease_store_ =
-        std::make_unique<store::LeaseStore>(options_.cache_dir + "/claims");
+  store::LeaseToken presence;
+  if (shard.mode == ShardMode::kClaim) {
+    if (lease_store_ == nullptr) {
+      lease_store_ =
+          std::make_unique<store::LeaseStore>(options_.cache_dir + "/claims");
+    }
+    FC_ASSIGN_OR_RETURN(presence,
+                        lease_store_->Acquire(PresenceKey(shard), shard.Label(),
+                                              options_.shard_lease_s));
   }
 
   ExperimentGraph graph = ExperimentGraph::Build(spec, filter);
@@ -383,6 +391,11 @@ Status SuiteScheduler::RunSuiteShard(const SuiteSpec& spec,
   FC_RETURN_IF_ERROR(WritePartialReport(spec, graph, filter, produced_ids));
 
   if (shard.mode == ShardMode::kClaim) {
+    Status released = lease_store_->Release(presence);
+    if (!released.ok()) {
+      FC_LOG_WARN("sched", "presence release failed: %s",
+                  released.ToString().c_str());
+    }
     // Merge election: a claim shard only reaches this point once every
     // cell of every wave has a cache record (its scan loop cannot finish
     // otherwise), so any finisher could merge — the __merge__ lease picks
@@ -408,6 +421,91 @@ Status SuiteScheduler::RunSuiteShard(const SuiteSpec& spec,
   return Status::OK();
 }
 
+Result<std::vector<std::string>> SuiteScheduler::PartialReportsToValidate()
+    const {
+  namespace fs = std::filesystem;
+  size_t count = options_.shard.count;
+  if (!options_.shard.active()) {
+    // Explicit merge pass: learn N from the partials on disk. Only names
+    // that parse exactly as "<report>.shard<i>of<N>" count, so a sibling's
+    // in-flight "<partial>.tmp" can never be mistaken for a partial.
+    fs::path report(options_.report_path);
+    fs::path dir = report.parent_path();
+    if (dir.empty()) dir = ".";
+    const std::string prefix = report.filename().string() + ".shard";
+    count = 0;
+    std::error_code ec;
+    for (fs::directory_iterator it(dir, ec), end; !ec && it != end;
+         it.increment(ec)) {
+      const std::string name = it->path().filename().string();
+      if (name.rfind(prefix, 0) != 0) continue;
+      std::string spec_text = name.substr(prefix.size());
+      size_t of = spec_text.find("of");
+      if (of == std::string::npos) continue;
+      spec_text.replace(of, 2, "/");
+      Result<ShardSpec> parsed = ParseShardSpec(ShardMode::kStatic, spec_text);
+      if (!parsed.ok()) continue;
+      if (count != 0 && parsed->count != count) {
+        return Status::InvalidArgument(StrFormat(
+            "partial reports of %zu and %zu shards next to %s: remove the "
+            "stale set",
+            count, parsed->count, options_.report_path.c_str()));
+      }
+      count = parsed->count;
+    }
+    if (ec) {
+      return Status::IoError("scanning " + dir.string() + ": " +
+                             ec.message());
+    }
+    if (count == 0) return std::vector<std::string>{};
+  }
+
+  std::vector<std::string> expected;
+  for (size_t i = 0; i < count; ++i) {
+    ShardSpec shard = options_.shard;
+    shard.index = i;
+    shard.count = count;
+    expected.push_back(PartialReportPath(options_.report_path, shard));
+  }
+  auto present = [](const std::string& path) {
+    std::error_code ec;
+    return fs::exists(path, ec);
+  };
+  if (options_.shard.mode == ShardMode::kClaim) {
+    // Every cell has a cache record by now, but a sibling may still be
+    // writing its partial. Wait, under the lease deadline, until each
+    // partial exists or its shard is known to be gone (presence released
+    // or its process dead), so the validated set is every partial that
+    // will ever exist.
+    auto settled = [&](size_t i) {
+      if (present(expected[i])) return true;
+      ShardSpec shard = options_.shard;
+      shard.index = i;
+      Result<store::LeaseRecord> record =
+          lease_store_->Read(PresenceKey(shard));
+      return record.ok() &&
+             (record->released() || !store::PidAlive(record->pid));
+    };
+    const double deadline =
+        store::MonotonicSeconds() + options_.shard_lease_s;
+    for (size_t i = 0; i < count; ++i) {
+      while (!settled(i) && store::MonotonicSeconds() <= deadline) {
+        std::this_thread::sleep_for(kClaimScanBackoff);
+      }
+    }
+  }
+  std::vector<std::string> partials;
+  for (const std::string& path : expected) {
+    if (present(path)) {
+      partials.push_back(path);
+    } else {
+      FC_LOG_WARN("sched", "merge: partial report %s is missing",
+                  path.c_str());
+    }
+  }
+  return partials;
+}
+
 Status SuiteScheduler::RunSuiteMerge(const SuiteSpec& spec,
                                      const SuiteFilter& filter) {
   obs::TraceSpan span("sched", "suite-merge");
@@ -416,51 +514,39 @@ Status SuiteScheduler::RunSuiteMerge(const SuiteSpec& spec,
     // trusting it: a cell whose recorded sha256 no longer matches the
     // cache bytes means two shards ran inconsistent configurations (or
     // the cache was tampered with) — merging would silently bless it.
-    FC_ASSIGN_OR_RETURN(std::shared_ptr<store::BlobStore> blob,
-                        SharedStore());
-    namespace fs = std::filesystem;
-    fs::path report(options_.report_path);
-    fs::path dir = report.parent_path();
-    if (dir.empty()) dir = ".";
-    const std::string prefix = report.filename().string() + ".shard";
-    std::vector<fs::path> partials;
-    std::error_code ec;
-    for (const fs::directory_entry& entry : fs::directory_iterator(dir, ec)) {
-      if (!entry.is_regular_file()) continue;
-      const std::string name = entry.path().filename().string();
-      if (name.rfind(prefix, 0) == 0) partials.push_back(entry.path());
-    }
-    std::sort(partials.begin(), partials.end());
+    FC_ASSIGN_OR_RETURN(std::vector<std::string> partials,
+                        PartialReportsToValidate());
+    store::FlatFileStore blob(options_.cache_dir);
     size_t validated = 0;
-    for (const fs::path& path : partials) {
-      FC_ASSIGN_OR_RETURN(std::string text, ReadFileToString(path.string()));
+    for (const std::string& path : partials) {
+      FC_ASSIGN_OR_RETURN(std::string text, ReadFileToString(path));
       obs::JsonValue parsed;
       std::string error;
       if (!obs::JsonValue::Parse(text, &parsed, &error)) {
-        return Status::InvalidArgument("malformed partial report " +
-                                       path.string() + ": " + error);
+        return Status::InvalidArgument("malformed partial report " + path +
+                                       ": " + error);
       }
       const obs::JsonValue* cells = parsed.Find("cells");
       if (cells == nullptr || cells->type != obs::JsonValue::Type::kArray) {
-        return Status::InvalidArgument("partial report " + path.string() +
+        return Status::InvalidArgument("partial report " + path +
                                        " has no cells array");
       }
       for (const obs::JsonValue& cell : cells->array_items) {
         const std::string cache_file = cell.StringOr("cache_file", "");
         const std::string claimed = cell.StringOr("sha256", "");
         if (cache_file.empty() || claimed.empty()) {
-          return Status::InvalidArgument("partial report " + path.string() +
+          return Status::InvalidArgument("partial report " + path +
                                          " lists a cell without "
                                          "cache_file/sha256");
         }
-        FC_ASSIGN_OR_RETURN(std::string bytes, blob->Read(cache_file));
+        FC_ASSIGN_OR_RETURN(std::string bytes, blob.Read(cache_file));
         const std::string actual = Sha256Hex(bytes);
         if (actual != claimed) {
           return Status::Internal(
               StrFormat("merge validation failed: %s claims sha256 %s for "
                         "%s but the shared cache holds %s",
-                        path.string().c_str(), claimed.c_str(),
-                        cache_file.c_str(), actual.c_str()));
+                        path.c_str(), claimed.c_str(), cache_file.c_str(),
+                        actual.c_str()));
         }
         ++validated;
       }

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <filesystem>
 #include <utility>
 
 #include "common/env.h"
-#include "common/exec_mode.h"
 #include "common/hash.h"
 #include "common/safe_io.h"
 #include "common/strings.h"
@@ -33,7 +31,6 @@ Result<SuiteOptions> TrySuiteOptionsFromEnv() {
   options.study.test_fraction = 0.3;
   options.study.seed =
       static_cast<uint64_t>(GetEnvInt64("FAIRCLEAN_SEED", 42));
-  FC_ASSIGN_OR_RETURN(options.study.exec_mode, ExecModeFromEnv());
   options.cache_dir = GetEnvString("FAIRCLEAN_CACHE_DIR", "fairclean_cache");
   FC_ASSIGN_OR_RETURN(
       int64_t max_retries,
@@ -46,24 +43,6 @@ Result<SuiteOptions> TrySuiteOptionsFromEnv() {
   FC_ASSIGN_OR_RETURN(int64_t threads, GetEnvCount("FAIRCLEAN_THREADS", 0));
   options.threads = static_cast<size_t>(threads);
   options.report_path = GetEnvString("FAIRCLEAN_SUITE_REPORT", "");
-  options.store_backend = GetEnvString("FAIRCLEAN_STORE", "flat");
-  if (options.store_backend != "flat" && options.store_backend != "paged") {
-    return Status::InvalidArgument(
-        "FAIRCLEAN_STORE must be \"flat\" or \"paged\", got \"" +
-        options.store_backend + "\"");
-  }
-  FC_ASSIGN_OR_RETURN(
-      int64_t store_cache_pages,
-      GetEnvCount("FAIRCLEAN_STORE_CACHE_PAGES",
-                  static_cast<int64_t>(options.store_cache_pages)));
-  options.store_cache_pages = static_cast<size_t>(store_cache_pages);
-  std::string compress = GetEnvString("FAIRCLEAN_STORE_COMPRESS", "0");
-  if (compress != "0" && compress != "1") {
-    return Status::InvalidArgument(
-        "FAIRCLEAN_STORE_COMPRESS must be \"0\" or \"1\", got \"" +
-        compress + "\"");
-  }
-  options.store_compress = compress == "1";
   FC_ASSIGN_OR_RETURN(options.shard_lease_s,
                       GetEnvBudgetSeconds("FAIRCLEAN_SHARD_LEASE_S",
                                           options.shard_lease_s));
@@ -176,7 +155,7 @@ SuiteScheduler::SuiteScheduler(SuiteOptions options)
                                    : ThreadPool::DefaultThreadCount()),
       metrics_(&obs::MetricsRegistry::Global()),
       artifacts_(&metrics_),
-      planner_(options_.study.exec_mode, options_.study.seed,
+      planner_(options_.study.seed,
                [this](const std::string& name) { return Dataset(name); }),
       start_(std::chrono::steady_clock::now()) {
   if (width_ > 1) pool_ = std::make_unique<ThreadPool>(width_);
@@ -189,29 +168,11 @@ double SuiteScheduler::ElapsedSeconds() const {
       .count();
 }
 
-Result<std::shared_ptr<store::BlobStore>> SuiteScheduler::SharedStore()
-    const {
-  std::lock_guard<std::mutex> lock(store_mutex_);
-  if (blob_store_ == nullptr) {
-    std::error_code ec;
-    std::filesystem::create_directories(options_.cache_dir, ec);
-    FC_ASSIGN_OR_RETURN(
-        blob_store_,
-        store::OpenBlobStore(options_.cache_dir, options_.store_backend,
-                             options_.store_cache_pages,
-                             options_.store_compress));
-  }
-  return blob_store_;
-}
-
 Result<exec::StudyDriverOptions> SuiteScheduler::CellDriverOptions() const {
   exec::StudyDriverOptions driver_options;
   driver_options.study = options_.study;
   driver_options.cache_dir = options_.cache_dir;
   driver_options.max_retries = options_.max_retries;
-  if (!options_.cache_dir.empty()) {
-    FC_ASSIGN_OR_RETURN(driver_options.blob_store, SharedStore());
-  }
   // Parallelism lives at the suite level; each cell driver runs the
   // strictly-sequential path (also keeps pool-in-pool nesting impossible).
   driver_options.threads = 1;
@@ -308,14 +269,6 @@ Result<CellArtifact> SuiteScheduler::ProduceCell(const CellKey& cell) {
   std::shared_ptr<const GeneratedDataset> dataset;
   if (plan != nullptr && plan->data != nullptr) {
     dataset = plan->data;
-  } else if (options_.study.exec_mode == ExecMode::kNaive) {
-    // Naive baseline: regenerate the dataset for every cell instead of
-    // touching the shared artifact — the deliberately unshared cost the
-    // planner exists to remove. Generation is a pure function of
-    // (name, seed), so the bytes do not change.
-    FC_ASSIGN_OR_RETURN(GeneratedDataset rebuilt,
-                        MakeSuiteDataset(cell.dataset, options_.study.seed));
-    dataset = std::make_shared<const GeneratedDataset>(std::move(rebuilt));
   } else {
     FC_ASSIGN_OR_RETURN(dataset, Dataset(cell.dataset));
   }
@@ -341,17 +294,16 @@ Result<CellArtifact> SuiteScheduler::ProduceCell(const CellKey& cell) {
   Result<CleaningExperimentResult> result =
       driver.RunOrLoad(*dataset, cell.error_type, cell.model, plan_inputs);
   Accumulate(driver.diagnostics());
+  store::FlatFileStore blob(options_.cache_dir);
   if (!result.ok()) {
     if (result.status().code() == StatusCode::kDeadlineExceeded &&
-        !options_.cache_dir.empty() &&
-        driver_options.blob_store != nullptr) {
+        !options_.cache_dir.empty()) {
       // Sticky attempt marker: the cell hit the budget with resumable
       // state. A later attempt that completes the cell overwrites it, so
       // final-success reports stay byte-identical to fresh runs.
-      driver_options.blob_store
-          ->Write(ClassKeyFor(CellCacheKey(cell)),
-                  std::string(CellClassName(CellClass::kBudgetExceeded)) +
-                      "\n")
+      blob.Write(ClassKeyFor(CellCacheKey(cell)),
+                 std::string(CellClassName(CellClass::kBudgetExceeded)) +
+                     "\n")
           .ok();
     }
     return result.status();
@@ -363,10 +315,10 @@ Result<CellArtifact> SuiteScheduler::ProduceCell(const CellKey& cell) {
   if (!options_.cache_dir.empty()) {
     std::string key = exec::StudyDriver::CacheKey(
         driver_options, cell.dataset, cell.error_type, cell.model);
-    FC_ASSIGN_OR_RETURN(bytes, driver_options.blob_store->Read(key));
+    FC_ASSIGN_OR_RETURN(bytes, blob.Read(key));
     artifact.cache_file = key;
-    artifact.cell_class = ClassifyProducedCell(
-        cell, driver.diagnostics(), driver_options.blob_store.get(), key);
+    artifact.cell_class =
+        ClassifyProducedCell(cell, driver.diagnostics(), &blob, key);
   } else {
     // In-memory runs: digest the exact bytes SaveToFile would persist, so
     // the identity is comparable either way.
@@ -380,7 +332,7 @@ Result<CellArtifact> SuiteScheduler::ProduceCell(const CellKey& cell) {
 
 CellClass SuiteScheduler::ClassifyProducedCell(
     const CellKey& cell, const exec::RunDiagnostics& diag,
-    store::BlobStore* blob, const std::string& cache_key) {
+    store::FlatFileStore* blob, const std::string& cache_key) {
   // Each cell runs its own driver, so the diagnostics describe exactly
   // this production. A pure cache hit preserves the class recorded by
   // whichever run computed the cell (absent record: a pre-classifier
@@ -469,8 +421,8 @@ Result<ScopeResults> SuiteScheduler::RunScopeCells(const StudyScope& scope) {
   std::vector<size_t> order(cells.size());
   for (size_t i = 0; i < cells.size(); ++i) order[i] = i;
   std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    int ra = CellCostRank(cells[a], options_.study.exec_mode);
-    int rb = CellCostRank(cells[b], options_.study.exec_mode);
+    int ra = CellCostRank(cells[a]);
+    int rb = CellCostRank(cells[b]);
     if (ra != rb) return ra > rb;
     return a < b;
   });
@@ -652,8 +604,7 @@ Status SuiteScheduler::ExecuteGraph(const SuiteSpec& spec,
                        const GraphNode& nb = graph.nodes()[b];
                        auto rank = [this](const GraphNode& node) {
                          return node.kind == NodeKind::kCell
-                                    ? CellCostRank(node.cell,
-                                                   options_.study.exec_mode)
+                                    ? CellCostRank(node.cell)
                                     : 15;  // datasets/figures: mid-weight
                        };
                        int ra = rank(na);

@@ -22,6 +22,7 @@
 #include "sched/shard.h"
 #include "sched/suite_spec.h"
 #include "sched/wave_plan.h"
+#include "store/blob_store.h"
 #include "store/lease.h"
 
 namespace fairclean {
@@ -51,18 +52,9 @@ struct SuiteOptions {
   /// Where RunSuite writes the merged JSON report ("" keeps it in memory
   /// only; see SuiteScheduler::report_json()).
   std::string report_path;
-  /// Artifact-store backend under cache_dir: "flat" (one file per record,
-  /// the historical layout) or "paged" (single crash-safe pages file, see
-  /// DESIGN.md Section 11). Reports and cache-record fingerprints are
-  /// byte-identical across backends.
-  std::string store_backend = "flat";
-  /// Page-cache capacity of the paged backend (FAIRCLEAN_STORE_CACHE_PAGES).
-  size_t store_cache_pages = 256;
-  /// Per-record compression in the paged backend (FAIRCLEAN_STORE_COMPRESS).
-  bool store_compress = false;
   /// This process's slice of a multi-process run (--shard / --shard-claim;
-  /// inactive by default). Sharding requires a non-empty cache_dir on a
-  /// flat backend: the shared cache IS the coordination plane.
+  /// inactive by default). Sharding requires a non-empty cache_dir: the
+  /// shared cache IS the coordination plane.
   ShardSpec shard;
   /// Claim-lease duration in seconds (FAIRCLEAN_SHARD_LEASE_S). A claim
   /// whose owner neither finishes nor refreshes (each journal checkpoint
@@ -72,14 +64,13 @@ struct SuiteOptions {
 
 /// The bench-scale defaults (sample 3500, 16 repeats, 3 folds, holdout
 /// 0.3, seed 42) overridable via FAIRCLEAN_SAMPLE / FAIRCLEAN_REPEATS /
-/// FAIRCLEAN_FOLDS / FAIRCLEAN_SEED / FAIRCLEAN_EXEC_MODE /
-/// FAIRCLEAN_CACHE_DIR / FAIRCLEAN_MAX_RETRIES / FAIRCLEAN_TIME_BUDGET_S /
-/// FAIRCLEAN_THREADS / FAIRCLEAN_SUITE_REPORT / FAIRCLEAN_STORE /
-/// FAIRCLEAN_STORE_CACHE_PAGES /
-/// FAIRCLEAN_STORE_COMPRESS. Reads the environment exactly once, at the
-/// call. Count and budget knobs parse strictly (GetEnvCount /
-/// GetEnvBudgetSeconds): trailing garbage, NaN/inf, or a negative value is
-/// an InvalidArgument instead of a silent fallback to the default.
+/// FAIRCLEAN_FOLDS / FAIRCLEAN_SEED / FAIRCLEAN_CACHE_DIR /
+/// FAIRCLEAN_MAX_RETRIES / FAIRCLEAN_TIME_BUDGET_S / FAIRCLEAN_THREADS /
+/// FAIRCLEAN_SUITE_REPORT / FAIRCLEAN_SHARD_LEASE_S. Reads the environment
+/// exactly once, at the call. Count and budget knobs parse strictly
+/// (GetEnvCount / GetEnvBudgetSeconds): trailing garbage, NaN/inf, or a
+/// negative value is an InvalidArgument instead of a silent fallback to the
+/// default.
 Result<SuiteOptions> TrySuiteOptionsFromEnv();
 
 /// TrySuiteOptionsFromEnv for contexts without an error channel (benches,
@@ -165,12 +156,15 @@ class SuiteScheduler {
   /// explicit RunSuiteMerge pass.
   Status RunSuiteShard(const SuiteSpec& spec, const SuiteFilter& filter);
 
-  /// Merge step of a sharded run: validates every partial report found
-  /// next to options.report_path (each listed cell's sha256 must match the
-  /// shared cache's actual bytes), then executes the full graph over the
-  /// warm cache — every cell is a cache hit — so the merged report is
+  /// Merge step of a sharded run: validates the N partial reports
+  /// "<report_path>.shard<i>of<N>" (each listed cell's sha256 must match
+  /// the shared cache's actual bytes), then executes the full graph over
+  /// the warm cache — every cell is a cache hit — so the merged report is
   /// byte-identical to a single-process run by the fresh==warm identity
-  /// contract. Partial reports are never stitched.
+  /// contract. Partial reports are never stitched. N is the active shard
+  /// spec's count (a claim shard's auto-merge, which first waits for its
+  /// siblings' partials) or, for an explicit merge pass, the count the
+  /// partials on disk are named with.
   Status RunSuiteMerge(const SuiteSpec& spec, const SuiteFilter& filter);
 
   /// Partial-report path of one shard: "<report_path>.shard<i>of<N>"
@@ -251,15 +245,9 @@ class SuiteScheduler {
   };
 
   /// Driver options for one cell: the suite options with threads pinned to
-  /// 1, the time budget reduced to what remains of the suite budget, and
-  /// the shared blob store attached. DeadlineExceeded when the suite
-  /// budget is already exhausted.
+  /// 1 and the time budget reduced to what remains of the suite budget.
+  /// DeadlineExceeded when the suite budget is already exhausted.
   Result<exec::StudyDriverOptions> CellDriverOptions() const;
-
-  /// The one blob store every cell driver of this suite shares (opened on
-  /// first use; the paged backend's pages file has a single writer per
-  /// process). Thread-safe: cells fan out across the pool.
-  Result<std::shared_ptr<store::BlobStore>> SharedStore() const;
 
   Result<CellArtifact> ProduceCell(const CellKey& cell);
   void Accumulate(const exec::RunDiagnostics& diagnostics);
@@ -268,7 +256,7 @@ class SuiteScheduler {
   /// (non-cache-hit) cell; reads the sticky record back on cache hits.
   CellClass ClassifyProducedCell(const CellKey& cell,
                                  const exec::RunDiagnostics& diag,
-                                 store::BlobStore* blob,
+                                 store::FlatFileStore* blob,
                                  const std::string& cache_key);
 
   /// Shard helpers (shard_runner.cc).
@@ -293,6 +281,8 @@ class SuiteScheduler {
                             const ExperimentGraph& graph,
                             const SuiteFilter& filter,
                             const std::vector<size_t>& produced_ids) const;
+  /// Paths of the partial reports RunSuiteMerge validates (see there).
+  Result<std::vector<std::string>> PartialReportsToValidate() const;
   /// True when this cell's claim was stolen by this process.
   bool IsStolenCell(const CellKey& cell) const;
   /// Lease refresh driven by the cell driver's journal checkpoints.
@@ -346,9 +336,6 @@ class SuiteScheduler {
 
   mutable std::mutex diag_mutex_;
   exec::RunDiagnostics total_;
-
-  mutable std::mutex store_mutex_;
-  mutable std::shared_ptr<store::BlobStore> blob_store_;
 
   /// Claim coordination state of a sharded run (null/empty otherwise).
   /// shard_mutex_ guards the token map, stolen set, and counters — the

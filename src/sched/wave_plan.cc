@@ -27,9 +27,9 @@ obs::Counter* ReuseHitsCounter() {
 
 }  // namespace
 
-int CellCostRank(const CellKey& cell, ExecMode mode) {
+int CellCostRank(const CellKey& cell) {
   if (cell.model == "xgboost") return 30;
-  if (cell.model == "knn") return mode == ExecMode::kNaive ? 40 : 20;
+  if (cell.model == "knn") return 20;
   return 10;  // log-reg and anything unknown: cheap, fills the tail
 }
 
@@ -41,15 +41,13 @@ exec::CellPlanInputs WavePlan::InputsFor(const std::string& model) const {
   return inputs;
 }
 
-WavePlanner::WavePlanner(ExecMode mode, uint64_t seed, DatasetFn dataset_fn)
-    : mode_(mode), seed_(seed), dataset_fn_(std::move(dataset_fn)) {}
+WavePlanner::WavePlanner(uint64_t seed, DatasetFn dataset_fn)
+    : seed_(seed), dataset_fn_(std::move(dataset_fn)) {}
 
 void WavePlanner::PlanWave(size_t wave_index,
                            const std::vector<CellKey>& cells) {
   plans_.clear();
-  // Naive mode is the deliberately unshared baseline: every cell rebuilds
-  // its dataset, groups, and family itself.
-  if (mode_ == ExecMode::kNaive || cells.empty()) return;
+  if (cells.empty()) return;
 
   // Group the wave's cells by dataset (the suite seed is fixed per run, so
   // (dataset, seed) groups collapse to dataset groups) and count members
@@ -89,8 +87,7 @@ void WavePlanner::PlanWave(size_t wave_index,
     bool families_ok = true;
     for (const CellKey* member : members) {
       if (plan.families.count(member->model) != 0) continue;
-      Result<TunedModelFamily> family =
-          ModelFamilyByName(member->model, mode_);
+      Result<TunedModelFamily> family = ModelFamilyByName(member->model);
       if (!family.ok()) {
         FC_LOG_WARN("sched", "plan build for %s: unknown model %s (%s)",
                     dataset.c_str(), member->model.c_str(),

@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "common/exec_mode.h"
 #include "common/status.h"
 #include "core/runner.h"
 #include "datasets/generator.h"
@@ -19,19 +18,18 @@ namespace sched {
 
 /// Shared immutable materialization for one (dataset, seed) group of ready
 /// cells in a Kahn wave (DESIGN.md §15): the generated dataset artifact,
-/// its group definitions, and the mode-resolved tuned family per model
-/// name. Built once per group before the wave fans out; strictly read-only
-/// while the wave runs, so any number of worker threads can consume one
-/// plan without synchronization. Every field is a pure function of
-/// (dataset name, seed, exec mode), which is why planned and per-cell
-/// rebuilt runs stay byte-identical.
+/// its group definitions, and the tuned family per model name. Built once
+/// per group before the wave fans out; strictly read-only while the wave
+/// runs, so any number of worker threads can consume one plan without
+/// synchronization. Every field is a pure function of (dataset name,
+/// seed), which is why planned and per-cell rebuilt runs stay
+/// byte-identical.
 struct WavePlan {
   std::string dataset;
   uint64_t seed = 0;
   std::shared_ptr<const GeneratedDataset> data;
   std::shared_ptr<const std::vector<GroupDefinition>> groups;
-  /// Tuned families keyed by model name, resolved under the suite's
-  /// execution mode.
+  /// Tuned families keyed by model name.
   std::map<std::string, std::shared_ptr<const TunedModelFamily>> families;
   /// Cells of the wave this plan was built for (structural: counted at
   /// build time from the wave's cell list, not from runtime consumption).
@@ -48,11 +46,9 @@ struct WavePlan {
 /// the expensive cells start first and the cheap ones fill the tail,
 /// tightening the wave's makespan. Pure scheduling — results land in
 /// id-indexed slots and failures are still reported in deterministic node
-/// order, so the bytes cannot change. Mode-aware because the dominant cost
-/// shifts: under the naive per-query kernels kNN tuning is the longest
-/// pole; once the batched grid kernel absorbs it (shared/fused), GBDT
-/// tuning is.
-int CellCostRank(const CellKey& cell, ExecMode mode);
+/// order, so the bytes cannot change. GBDT tuning is the longest pole;
+/// the batched kNN grid kernel puts kNN second.
+int CellCostRank(const CellKey& cell);
 
 /// Builds and serves per-(dataset, seed) WavePlans for the cells of one
 /// wave. The protocol mirrors the scheduler's wave loop:
@@ -61,8 +57,7 @@ int CellCostRank(const CellKey& cell, ExecMode mode);
 ///   Consume(cell)        — from any worker, read-only, during the wave
 ///   EndWave()            — single-threaded, after the wave joins
 ///
-/// Naive mode plans nothing (every cell rebuilds its own inputs — the
-/// measurable baseline). A "plan_build" fault during one group's
+/// A "plan_build" fault during one group's
 /// materialization drops only that group's plan: its cells fall back to
 /// the per-cell rebuild path and the run's bytes do not change.
 ///
@@ -76,25 +71,22 @@ class WavePlanner {
 
   /// `dataset_fn` resolves the shared dataset artifact (the scheduler's
   /// ArtifactStore-backed lookup); `seed` is the suite's study seed.
-  WavePlanner(ExecMode mode, uint64_t seed, DatasetFn dataset_fn);
+  WavePlanner(uint64_t seed, DatasetFn dataset_fn);
 
   /// Materializes one plan per dataset group of `cells` (the seed is fixed
   /// per suite, so the dataset name keys the group). Clears any previous
   /// wave's plans first.
   void PlanWave(size_t wave_index, const std::vector<CellKey>& cells);
 
-  /// The plan serving `cell`, or null (naive mode, build fault, or an
-  /// unplanned execution path). Counts a plan reuse hit when found.
+  /// The plan serving `cell`, or null (build fault, or an unplanned
+  /// execution path). Counts a plan reuse hit when found.
   const WavePlan* Consume(const CellKey& cell);
 
   /// Drops the current wave's plans (their shared_ptr payloads stay alive
   /// in any CellPlanInputs still holding them).
   void EndWave();
 
-  ExecMode mode() const { return mode_; }
-
  private:
-  ExecMode mode_;
   uint64_t seed_;
   DatasetFn dataset_fn_;
   /// Current wave's plans, keyed by dataset name. Mutated only in

@@ -1,6 +1,5 @@
 #include "serve/advisor_service.h"
 
-#include <filesystem>
 #include <utility>
 
 #include "common/safe_io.h"
@@ -11,6 +10,7 @@
 #include "fairness/fairness_metrics.h"
 #include "obs/trace.h"
 #include "stats/tests.h"
+#include "store/blob_store.h"
 
 namespace fairclean {
 namespace serve {
@@ -19,20 +19,6 @@ AdvisorService::AdvisorService(sched::SuiteOptions options)
     : options_(std::move(options)),
       metrics_(&obs::MetricsRegistry::Global()),
       artifacts_(&metrics_) {}
-
-Result<std::shared_ptr<store::BlobStore>> AdvisorService::SharedStore() {
-  std::lock_guard<std::mutex> lock(store_mutex_);
-  if (blob_store_ == nullptr) {
-    std::error_code ec;
-    std::filesystem::create_directories(options_.cache_dir, ec);
-    FC_ASSIGN_OR_RETURN(
-        blob_store_,
-        store::OpenBlobStore(options_.cache_dir, options_.store_backend,
-                             options_.store_cache_pages,
-                             options_.store_compress));
-  }
-  return blob_store_;
-}
 
 Result<std::shared_ptr<const GeneratedDataset>> AdvisorService::Dataset(
     const std::string& name,
@@ -56,9 +42,6 @@ Result<sched::CellArtifact> AdvisorService::ProduceCell(
   driver_options.study = options_.study;
   driver_options.cache_dir = options_.cache_dir;
   driver_options.max_retries = options_.max_retries;
-  if (!options_.cache_dir.empty()) {
-    FC_ASSIGN_OR_RETURN(driver_options.blob_store, SharedStore());
-  }
   // Per-request parallelism stays at 1: the server's worker pool is the
   // fan-out, and sequential drivers keep cache bytes identical to the
   // batch suite at any width.
@@ -86,7 +69,8 @@ Result<sched::CellArtifact> AdvisorService::ProduceCell(
   if (!options_.cache_dir.empty()) {
     std::string key = exec::StudyDriver::CacheKey(
         driver_options, cell.dataset, cell.error_type, cell.model);
-    FC_ASSIGN_OR_RETURN(bytes, driver_options.blob_store->Read(key));
+    FC_ASSIGN_OR_RETURN(bytes,
+                        store::FlatFileStore(options_.cache_dir).Read(key));
     artifact.cache_file = key;
   } else {
     bytes = AppendChecksumFooter(artifact.result.records.ToJson());

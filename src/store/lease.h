@@ -1,5 +1,5 @@
-#ifndef FAIRCLEAN_STORE_LEASE_H_
-#define FAIRCLEAN_STORE_LEASE_H_
+#ifndef FAIRCLEAN_LEASE_H_
+#define FAIRCLEAN_LEASE_H_
 
 #include <cstdint>
 #include <string>
@@ -64,11 +64,9 @@ struct LeaseToken {
 /// change. Files are never unlinked (Release writes a released record
 /// instead), which closes the classic unlink-vs-flock orphan-inode race.
 ///
-/// Claims deliberately do NOT go through the BlobStore: they are
+/// Claims deliberately do NOT go through the FlatFileStore: they are
 /// coordination state, not artifacts, so they must not pollute artifact
-/// stores, reuse counters, or cache-directory byte comparisons — and the
-/// paged backend is single-writer per process, which is exactly what a
-/// cross-process claim cannot be.
+/// stores, reuse counters, or cache-directory byte comparisons.
 class LeaseStore {
  public:
   /// `dir` is created on first use (conventionally "<cache_dir>/claims").
@@ -111,4 +109,4 @@ class LeaseStore {
 }  // namespace store
 }  // namespace fairclean
 
-#endif  // FAIRCLEAN_STORE_LEASE_H_
+#endif  // FAIRCLEAN_LEASE_H_

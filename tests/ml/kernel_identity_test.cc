@@ -9,8 +9,10 @@
 // The binary is registered three times in tests/CMakeLists.txt with
 // FAIRCLEAN_THREADS ∈ {1, 2, 8} so the same goldens are enforced at every
 // thread width — parallel schedules must be byte-identical to sequential.
+#include <algorithm>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -21,6 +23,7 @@
 #include "detect/mislabel_detector.h"
 #include "ml/gbdt.h"
 #include "ml/knn.h"
+#include "ml/linalg.h"
 #include "ml/tuning.h"
 #include "tests/ml/test_data.h"
 
@@ -158,24 +161,38 @@ TEST(KernelIdentityTest, KnnPredictGolden) {
                   0x1.3333333333333p-1});
 }
 
-// The §15 execution-mode ladder at the kernel layer: the naive reference
-// kNN path (per-query distance rows, no batching), the blocked kernel, and
-// the packed fused kernel must produce the same bits for every query.
+// Test-local per-query kNN oracle: one reference distance row per query
+// (SquaredDistancesToRow), neighbors ordered by (distance, train index) —
+// no blocking, no panel packing, no fan-out.
+std::vector<double> PerQueryKnnProba(const Matrix& train_x,
+                                     const std::vector<int>& train_y,
+                                     const Matrix& queries, size_t k) {
+  size_t n_train = train_x.rows();
+  k = std::min(k, n_train);
+  std::vector<double> sq(n_train);
+  std::vector<std::pair<double, size_t>> dist(n_train);
+  std::vector<double> proba(queries.rows());
+  for (size_t q = 0; q < queries.rows(); ++q) {
+    SquaredDistancesToRow(train_x, queries.Row(q), sq.data());
+    for (size_t t = 0; t < n_train; ++t) dist[t] = {sq[t], t};
+    std::partial_sort(dist.begin(), dist.begin() + k, dist.end());
+    int positives = 0;
+    for (size_t j = 0; j < k; ++j) positives += train_y[dist[j].second];
+    proba[q] = static_cast<double>(positives) / static_cast<double>(k);
+  }
+  return proba;
+}
+
+// The production kNN path (blocked, panel-packed, fanned out over query
+// blocks) must produce the per-query reference's bits for every query.
 TEST(KernelIdentityTest, KnnModeLadderBitIdentical) {
   test::BlobData data = test::MakeBlobs(400, 6, 1.5, 9);
-  test::BlobData queries = test::MakeBlobs(37, 6, 1.5, 10);
-  std::vector<std::vector<double>> proba;
-  for (int rung = 0; rung < 3; ++rung) {
-    KnnOptions options;
-    options.blocked = rung > 0;
-    options.packed_reuse = rung > 1;
-    KnnClassifier model(options);
-    Rng rng(23);
-    ASSERT_TRUE(model.Fit(data.x, data.y, &rng).ok());
-    proba.push_back(model.PredictProba(queries.x));
-  }
-  EXPECT_EQ(proba[0], proba[1]) << "naive vs blocked";
-  EXPECT_EQ(proba[1], proba[2]) << "blocked vs packed";
+  test::BlobData queries = test::MakeBlobs(137, 6, 1.5, 10);  // > 2 blocks
+  KnnClassifier model;
+  Rng rng(23);
+  ASSERT_TRUE(model.Fit(data.x, data.y, &rng).ok());
+  EXPECT_EQ(model.PredictProba(queries.x),
+            PerQueryKnnProba(data.x, data.y, queries.x, KnnOptions().k));
 }
 
 // The fused grid kernel answers the whole k grid from one top-max(k) sweep;
@@ -206,56 +223,45 @@ TEST(KernelIdentityTest, KnnGridMatchesPerKOracle) {
   }
 }
 
-// GBDT stacked prediction (trees-outer over row blocks) against the plain
-// per-row tree walk: same model, same bits.
+// GBDT stacked prediction (trees-outer over row blocks) against predicting
+// each row as its own 1-row matrix: same model, same bits.
 TEST(KernelIdentityTest, GbdtStackedPredictBitIdentical) {
   test::BlobData data = test::MakeBlobs(250, 4, 1.0, 21);
   test::BlobData queries = test::MakeBlobs(97, 4, 1.0, 22);
-  std::vector<std::vector<double>> proba;
-  for (bool stacked : {false, true}) {
-    GbdtOptions options;
-    options.stacked_predict = stacked;
-    GradientBoostedTrees model(options);
-    Rng rng(19);
-    ASSERT_TRUE(model.Fit(data.x, data.y, &rng).ok());
-    proba.push_back(model.PredictProba(queries.x));
+  GradientBoostedTrees model;
+  Rng rng(19);
+  ASSERT_TRUE(model.Fit(data.x, data.y, &rng).ok());
+  std::vector<double> stacked = model.PredictProba(queries.x);
+  ASSERT_EQ(stacked.size(), queries.x.rows());
+  for (size_t i = 0; i < queries.x.rows(); ++i) {
+    std::vector<double> single = model.PredictProba(queries.x.TakeRows({i}));
+    ASSERT_EQ(single.size(), 1u);
+    EXPECT_EQ(stacked[i], single[0]) << "row " << i;
   }
-  EXPECT_EQ(proba[0], proba[1]);
 }
 
-// Whole-tune mode identity: for every model family, TuneAndFit under
-// naive, shared, and fused selects the same hyperparameter, reports the
-// same CV accuracy, and trains a bit-identical final model. This is the
-// kernel-layer half of the suite-level mode identity the wave_plan and
-// suite_golden registrations pin.
-TEST(KernelIdentityTest, TuneAndFitModeLadderBitIdentical) {
+// The batched kNN grid evaluation inside TuneAndFit against the
+// per-grid-point oracle (the same family with fused_grid_eval cleared, so
+// every k is fitted and scored on its own): same hyperparameter, same CV
+// accuracy, and a bit-identical final model.
+TEST(KernelIdentityTest, TuneAndFitGridEvalMatchesPerPointOracle) {
   test::BlobData data = test::MakeBlobs(180, 4, 1.3, 41);
   test::BlobData queries = test::MakeBlobs(23, 4, 1.3, 42);
-  for (const std::string& name : AllModelNames()) {
-    struct ModeOutcome {
-      double param;
-      double cv_accuracy;
-      std::vector<double> proba;
-    };
-    std::vector<ModeOutcome> outcomes;
-    for (ExecMode mode :
-         {ExecMode::kNaive, ExecMode::kShared, ExecMode::kFused}) {
-      Result<TunedModelFamily> family = ModelFamilyByName(name, mode);
-      ASSERT_TRUE(family.ok()) << name;
-      Rng rng(77);
-      Result<TuneOutcome> outcome =
-          TuneAndFit(*family, data.x, data.y, 3, &rng, mode);
-      ASSERT_TRUE(outcome.ok()) << name << ": "
-                                << outcome.status().ToString();
-      outcomes.push_back({outcome->best_param, outcome->best_cv_accuracy,
-                          outcome->model->PredictProba(queries.x)});
-    }
-    for (size_t m = 1; m < outcomes.size(); ++m) {
-      EXPECT_EQ(outcomes[m].param, outcomes[0].param) << name;
-      EXPECT_EQ(outcomes[m].cv_accuracy, outcomes[0].cv_accuracy) << name;
-      EXPECT_EQ(outcomes[m].proba, outcomes[0].proba) << name;
-    }
-  }
+  TunedModelFamily fused = KnnFamily();
+  ASSERT_TRUE(fused.fused_grid_eval != nullptr);
+  TunedModelFamily per_point = fused;
+  per_point.fused_grid_eval = nullptr;
+  Rng rng_fused(77);
+  Rng rng_per_point(77);
+  Result<TuneOutcome> a = TuneAndFit(fused, data.x, data.y, 3, &rng_fused);
+  Result<TuneOutcome> b =
+      TuneAndFit(per_point, data.x, data.y, 3, &rng_per_point);
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+  EXPECT_EQ(a->best_param, b->best_param);
+  EXPECT_EQ(a->best_cv_accuracy, b->best_cv_accuracy);
+  EXPECT_EQ(a->model->PredictProba(queries.x),
+            b->model->PredictProba(queries.x));
 }
 
 TEST(KernelIdentityTest, MislabelDetectGolden) {

@@ -12,6 +12,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <set>
@@ -20,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/safe_io.h"
 #include "common/status.h"
 #include "sched/experiment_graph.h"
 #include "sched/shard.h"
@@ -426,6 +428,53 @@ TEST(ShardOptionsTest, LeaseSecondsKnobParsesStrictly) {
   options = TrySuiteOptionsFromEnv();
   ASSERT_TRUE(options.ok());
   EXPECT_DOUBLE_EQ(options->shard_lease_s, 30.0);
+}
+
+// Regression for the merge race: a sibling's in-flight WriteFileAtomic
+// temp file ("<partial>.tmp") sits next to the partial reports. The merge
+// must validate exactly the N named partials and never open the temp file,
+// which a real sibling renames away at any moment (it used to surface as
+// "IoError: cannot open: ...report.json.shard2of4.tmp"). The suite runs in
+// a forked child: threads never survive fork, and the shared fold pool is
+// spawned once per process.
+TEST(ShardMergeTest, MergeIgnoresInFlightPartialTempFile) {
+  std::string dir = FreshDir("merge_tmp");
+  std::string cache = dir + "/cache";
+  std::string report = dir + "/report.json";
+  std::string temp = report + ".shard2of4.tmp";
+  pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    SuiteOptions options;
+    options.study.sample_size = 300;
+    options.study.num_repeats = 2;
+    options.study.seed = 42;
+    options.cache_dir = cache;
+    options.report_path = report;
+    options.threads = 1;
+    const SuiteFilter smoke = SuiteFilter::Parse("smoke");
+    for (size_t i = 0; i < 4; ++i) {
+      SuiteOptions shard_options = options;
+      shard_options.shard = {ShardMode::kStatic, i, 4};
+      Status status =
+          SuiteScheduler(shard_options).RunSuiteShard(PaperSuite(), smoke);
+      if (!status.ok()) _exit(2);
+    }
+    if (!WriteFileAtomic(temp, "{\"cells\": [half-written").ok()) _exit(3);
+    Status merged = SuiteScheduler(options).RunSuiteMerge(PaperSuite(), smoke);
+    if (!merged.ok()) {
+      std::fprintf(stderr, "merge failed: %s\n", merged.ToString().c_str());
+      _exit(1);
+    }
+    _exit(0);
+  }
+  int wstatus = 0;
+  ASSERT_EQ(waitpid(pid, &wstatus, 0), pid);
+  ASSERT_TRUE(WIFEXITED(wstatus)) << "child died: " << wstatus;
+  ASSERT_EQ(WEXITSTATUS(wstatus), 0)
+      << "1: merge failed, 2: shard run failed, 3: temp write failed";
+  EXPECT_TRUE(std::filesystem::exists(report));
+  EXPECT_TRUE(std::filesystem::exists(temp)) << "merge touched the temp file";
 }
 
 }  // namespace

@@ -21,10 +21,10 @@
 
 #include <gtest/gtest.h>
 
-#include "common/exec_mode.h"
 #include "common/safe_io.h"
 #include "sched/suite_runner.h"
 #include "sched/suite_spec.h"
+#include "tests/sched/child_evidence.h"
 
 namespace fairclean {
 namespace sched {
@@ -36,7 +36,6 @@ StudyOptions GoldenStudy() {
   options.num_repeats = 3;
   options.cv_folds = 3;
   options.seed = 42;
-  options.exec_mode = ExecModeFromEnv().ValueOrDie();
   return options;
 }
 
@@ -59,12 +58,16 @@ SuiteOptions ShardOptions(const std::string& cache_dir,
 }
 
 /// Forks a child that runs one suite entry point and _exits with 0 on OK.
-/// No gtest assertions in the child: it reports through its exit status.
+/// No gtest assertions in the child: it reports through its exit status,
+/// and leaves its stderr and flight dump under `evidence` (see
+/// child_evidence.h) for the parent to print on failure.
 enum class ChildRun { kSingle, kShard, kMerge };
 
-pid_t ForkRun(ChildRun what, const SuiteOptions& options) {
+pid_t ForkRun(ChildRun what, const SuiteOptions& options,
+              const std::string& evidence) {
   pid_t pid = fork();
   if (pid != 0) return pid;
+  test::CaptureChildEvidence(evidence);
   SuiteScheduler scheduler(options);
   Status status;
   switch (what) {
@@ -83,14 +86,18 @@ pid_t ForkRun(ChildRun what, const SuiteOptions& options) {
   if (!status.ok()) {
     std::fprintf(stderr, "child run failed: %s\n",
                  status.ToString().c_str());
+    test::DumpChildFlight(evidence);
   }
   _exit(status.ok() ? 0 : 1);
 }
 
-[[nodiscard]] bool WaitOk(pid_t pid) {
+/// Waits for a child forked with ForkRun: "" when it exited 0, otherwise
+/// how it ended plus its stderr and flight dump.
+[[nodiscard]] std::string WaitFailure(pid_t pid, const std::string& evidence) {
   int wstatus = 0;
-  if (waitpid(pid, &wstatus, 0) != pid) return false;
-  return WIFEXITED(wstatus) && WEXITSTATUS(wstatus) == 0;
+  if (waitpid(pid, &wstatus, 0) != pid) return "waitpid failed";
+  if (WIFEXITED(wstatus) && WEXITSTATUS(wstatus) == 0) return "";
+  return test::ChildEvidence(wstatus, evidence);
 }
 
 std::map<std::string, std::string> ReadDirFiles(const std::string& dir) {
@@ -115,8 +122,13 @@ const Baseline& GetBaseline() {
     auto* value = new Baseline();
     std::string dir = FreshDir("baseline");
     std::string report = dir + "/report.json";
-    if (!WaitOk(ForkRun(ChildRun::kSingle, ShardOptions(dir + "/cache",
-                                                        report)))) {
+    std::string evidence = dir + "/single";
+    std::string failure = WaitFailure(
+        ForkRun(ChildRun::kSingle, ShardOptions(dir + "/cache", report),
+                evidence),
+        evidence);
+    if (!failure.empty()) {
+      std::fprintf(stderr, "baseline run failed: %s\n", failure.c_str());
       return value;  // empty: every test asserts non-empty first
     }
     value->report = ReadFileToString(report).ValueOrDie();
@@ -163,10 +175,15 @@ void RunShards(ShardMode mode, size_t count, const std::string& scenario) {
     options.shard.mode = mode;
     options.shard.index = i;
     options.shard.count = count;
-    pids.push_back(ForkRun(ChildRun::kShard, options));
+    pids.push_back(ForkRun(ChildRun::kShard, options,
+                           dir + "/shard" + std::to_string(i + 1)));
   }
-  for (pid_t pid : pids) {
-    EXPECT_TRUE(WaitOk(pid)) << scenario << ": shard process failed";
+  for (size_t i = 0; i < count; ++i) {
+    std::string failure =
+        WaitFailure(pids[i], dir + "/shard" + std::to_string(i + 1));
+    EXPECT_TRUE(failure.empty())
+        << scenario << ": shard " << (i + 1) << "/" << count
+        << " failed: " << failure;
   }
 
   // Every shard leaves its partial report behind.
@@ -183,9 +200,10 @@ void RunShards(ShardMode mode, size_t count, const std::string& scenario) {
   if (mode == ShardMode::kStatic) {
     // Static shards do not merge on their own; run the explicit merge
     // pass (validates partials, then executes over the warm cache).
-    ASSERT_TRUE(
-        WaitOk(ForkRun(ChildRun::kMerge, ShardOptions(cache, report))))
-        << scenario << ": merge process failed";
+    std::string failure = WaitFailure(
+        ForkRun(ChildRun::kMerge, ShardOptions(cache, report), dir + "/merge"),
+        dir + "/merge");
+    ASSERT_TRUE(failure.empty()) << scenario << ": merge failed: " << failure;
   }
   // Claim mode: the last finishing shard already won the __merge__
   // election and wrote the merged report itself.

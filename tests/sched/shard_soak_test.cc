@@ -23,12 +23,12 @@
 
 #include <gtest/gtest.h>
 
-#include "common/exec_mode.h"
 #include "common/fault_injection.h"
 #include "common/safe_io.h"
 #include "sched/suite_runner.h"
 #include "sched/suite_spec.h"
 #include "store/lease.h"
+#include "tests/sched/child_evidence.h"
 
 namespace fairclean {
 namespace sched {
@@ -40,7 +40,6 @@ StudyOptions GoldenStudy() {
   options.num_repeats = 3;
   options.cv_folds = 3;
   options.seed = 42;
-  options.exec_mode = ExecModeFromEnv().ValueOrDie();
   return options;
 }
 
@@ -76,35 +75,44 @@ TEST(ShardSoak, KilledClaimShardIsStolenResumedAndByteIdentical) {
   // Unfaulted single-process baseline in its own cache dir.
   std::string baseline_dir = FreshDir("baseline");
   std::string baseline_report = baseline_dir + "/report.json";
+  const std::string baseline_evidence = baseline_dir + "/single";
   pid_t baseline_pid = fork();
   ASSERT_GE(baseline_pid, 0);
   if (baseline_pid == 0) {
+    test::CaptureChildEvidence(baseline_evidence);
     SuiteScheduler scheduler(
         SoakOptions(baseline_dir + "/cache", baseline_report));
     Status status =
         scheduler.RunSuite(PaperSuite(), SuiteFilter::Parse("smoke"));
+    if (!status.ok()) {
+      std::fprintf(stderr, "baseline failed: %s\n",
+                   status.ToString().c_str());
+      test::DumpChildFlight(baseline_evidence);
+    }
     _exit(status.ok() ? 0 : 1);
   }
   int wstatus = 0;
   ASSERT_EQ(waitpid(baseline_pid, &wstatus, 0), baseline_pid);
   ASSERT_TRUE(WIFEXITED(wstatus) && WEXITSTATUS(wstatus) == 0)
-      << "baseline run failed";
+      << "baseline run failed: "
+      << test::ChildEvidence(wstatus, baseline_evidence);
 
   std::string dir = FreshDir("soak");
   std::string cache = dir + "/cache";
   std::string report = dir + "/report.json";
 
   // The victim: claim shard 1/2, sequential for a deterministic fault
-  // draw order, cache-write faults armed (page_write rides along but the
-  // flat backend never probes it), SIGKILLing itself at the first
+  // draw order, cache-write faults armed, SIGKILLing itself at the first
   // successful journal checkpoint. At width 1 the guided claim chunk is
   // one cell, so the victim dies holding exactly the first wave cell's
   // claim, with one repeat of it durably journaled.
+  const std::string victim_evidence = dir + "/victim";
   pid_t victim = fork();
   ASSERT_GE(victim, 0);
   if (victim == 0) {
+    test::CaptureChildEvidence(victim_evidence);
     if (!FaultInjector::Global()
-             .Configure("cache_write:0.25,page_write:0.25", 11)
+             .Configure("cache_write:0.25", 11)
              .ok()) {
       _exit(2);
     }
@@ -124,8 +132,9 @@ TEST(ShardSoak, KilledClaimShardIsStolenResumedAndByteIdentical) {
   }
   ASSERT_EQ(waitpid(victim, &wstatus, 0), victim);
   ASSERT_TRUE(WIFSIGNALED(wstatus))
-      << "victim exited instead of dying at its checkpoint: status "
-      << wstatus;
+      << "victim exited instead of dying at its checkpoint (2: bad fault "
+         "spec, 3: hook never fired, 4: run failed): "
+      << test::ChildEvidence(wstatus, victim_evidence);
   ASSERT_EQ(WTERMSIG(wstatus), SIGKILL);
 
   // The victim died holding its claimed cell: that lease must read as the
@@ -171,9 +180,11 @@ TEST(ShardSoak, KilledClaimShardIsStolenResumedAndByteIdentical) {
   // claim, resume its journaled repeats rather than recompute them, claim
   // the untouched cells normally, and — as the only finisher — win the
   // merge election and assemble the merged report itself.
+  const std::string survivor_evidence = dir + "/survivor";
   pid_t survivor = fork();
   ASSERT_GE(survivor, 0);
   if (survivor == 0) {
+    test::CaptureChildEvidence(survivor_evidence);
     SuiteOptions options = SoakOptions(cache, report);
     options.shard.mode = ShardMode::kClaim;
     options.shard.index = 1;
@@ -184,6 +195,7 @@ TEST(ShardSoak, KilledClaimShardIsStolenResumedAndByteIdentical) {
     if (!status.ok()) {
       std::fprintf(stderr, "survivor failed: %s\n",
                    status.ToString().c_str());
+      test::DumpChildFlight(survivor_evidence);
       _exit(1);
     }
     exec::RunDiagnostics diagnostics = scheduler.AggregateDiagnostics();
@@ -192,9 +204,9 @@ TEST(ShardSoak, KilledClaimShardIsStolenResumedAndByteIdentical) {
     _exit(0);
   }
   ASSERT_EQ(waitpid(survivor, &wstatus, 0), survivor);
-  ASSERT_TRUE(WIFEXITED(wstatus));
-  ASSERT_EQ(WEXITSTATUS(wstatus), 0)
-      << "survivor failed (5: no journal resume, 6: no repeats resumed)";
+  ASSERT_TRUE(WIFEXITED(wstatus) && WEXITSTATUS(wstatus) == 0)
+      << "survivor failed (5: no journal resume, 6: no repeats resumed): "
+      << test::ChildEvidence(wstatus, survivor_evidence);
 
   // The survivor's partial report counts the steal and classifies the
   // stolen cell, and so does the merged report it assembled (the class

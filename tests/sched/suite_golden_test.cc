@@ -20,7 +20,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/exec_mode.h"
 #include "common/fault_injection.h"
 #include "common/hash.h"
 #include "common/safe_io.h"
@@ -28,7 +27,6 @@
 #include "exec/study_driver.h"
 #include "sched/suite_runner.h"
 #include "sched/suite_spec.h"
-#include "store/blob_store.h"
 
 namespace fairclean {
 namespace sched {
@@ -40,10 +38,6 @@ StudyOptions GoldenStudy() {
   options.num_repeats = 3;
   options.cv_folds = 3;
   options.seed = 42;
-  // The mode-identity registrations (suite_golden_<mode>_t{1,2,4}) rerun
-  // this whole binary with FAIRCLEAN_EXEC_MODE=naive/shared: every golden
-  // byte contract must hold unchanged on each rung of the §15 ladder.
-  options.exec_mode = ExecModeFromEnv().ValueOrDie();
   return options;
 }
 
@@ -88,42 +82,6 @@ SuiteRun RunSmoke(size_t threads, const std::string& cache_dir) {
     if (!entry.is_regular_file()) continue;
     run.files[entry.path().filename().string()] =
         ReadFileToString(entry.path().string()).ValueOrDie();
-  }
-  return run;
-}
-
-// Same smoke run against the paged storage backend. The scheduler is
-// scoped so its store handle is closed before the collection pass reopens
-// the pages file (the engine is single-process single-writer); records are
-// collected through the store — the cache directory holds only
-// fairclean.pages, so a directory scan would see nothing.
-SuiteRun RunSmokePaged(size_t threads, const std::string& cache_dir) {
-  SuiteRun run;
-  {
-    SuiteOptions options;
-    options.study = GoldenStudy();
-    options.cache_dir = cache_dir;
-    options.threads = threads;
-    options.store_backend = "paged";
-    SuiteScheduler scheduler(options);
-    run.status =
-        scheduler.RunSuite(PaperSuite(), SuiteFilter::Parse("smoke"));
-    run.report = scheduler.report_json();
-  }
-  Result<std::shared_ptr<store::BlobStore>> blob =
-      store::OpenBlobStore(cache_dir, "paged", 256, false);
-  if (!blob.ok()) {
-    run.status = run.status.ok() ? blob.status() : run.status;
-    return run;
-  }
-  auto* paged = static_cast<store::PagedBlobStore*>(blob->get());
-  Result<std::vector<std::string>> keys = paged->paged_store().ListKeys();
-  if (!keys.ok()) {
-    run.status = run.status.ok() ? keys.status() : run.status;
-    return run;
-  }
-  for (const std::string& key : *keys) {
-    run.files[key] = (*blob)->Read(key).ValueOrDie();
   }
   return run;
 }
@@ -319,76 +277,6 @@ TEST(SuiteGolden, KillAndResumeReproducesReportAndCache) {
     ASSERT_TRUE(resumed.files.count(name)) << name;
     EXPECT_EQ(resumed.files.at(name), bytes)
         << name << " differs after kill-and-resume";
-  }
-}
-
-// The paged backend is a pure storage substitution: at this registration's
-// env width, the report and every cache record are byte-identical to the
-// flat sequential baseline — including the cache_file names the report
-// embeds — and the cache directory holds nothing but the pages file.
-TEST(SuiteGolden, PagedBackendMatchesFlatBaselineByteForByte) {
-  const SuiteRun& baseline = Baseline();
-  ASSERT_TRUE(baseline.status.ok());
-
-  std::string dir = FreshDir("paged");
-  SuiteRun paged = RunSmokePaged(0, dir);
-  ASSERT_TRUE(paged.status.ok()) << paged.status.ToString();
-  EXPECT_EQ(paged.report, baseline.report);
-  ASSERT_EQ(paged.files.size(), baseline.files.size());
-  for (const auto& [name, bytes] : baseline.files) {
-    ASSERT_TRUE(paged.files.count(name)) << name;
-    EXPECT_EQ(paged.files.at(name), bytes)
-        << name << " differs between flat and paged backends";
-  }
-
-  size_t entries = 0;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    ++entries;
-    EXPECT_EQ(entry.path().filename().string(),
-              store::PagedBlobStore::kPagesFileName);
-  }
-  EXPECT_EQ(entries, 1u);
-}
-
-// Kill-and-resume on the paged backend: the interrupted transaction must
-// cost progress only — the resumed run converges to the flat baseline's
-// bytes and the pages file recovers with zero torn pages and no
-// quarantined records.
-TEST(SuiteGolden, PagedKillAndResumeRecoversWithZeroTornPages) {
-  const SuiteRun& baseline = Baseline();
-  ASSERT_TRUE(baseline.status.ok());
-
-  std::string dir = FreshDir("paged_resume");
-  ASSERT_TRUE(FaultInjector::Global().Configure("interrupt:1:1", 1).ok());
-  SuiteRun interrupted = RunSmokePaged(0, dir);
-  FaultInjector::Global().Reset();
-  ASSERT_FALSE(interrupted.status.ok())
-      << "injected interrupt did not surface";
-
-  SuiteRun resumed = RunSmokePaged(0, dir);
-  ASSERT_TRUE(resumed.status.ok()) << resumed.status.ToString();
-  EXPECT_EQ(resumed.report, baseline.report);
-  ASSERT_EQ(resumed.files.size(), baseline.files.size());
-  for (const auto& [name, bytes] : baseline.files) {
-    ASSERT_TRUE(resumed.files.count(name)) << name;
-    EXPECT_EQ(resumed.files.at(name), bytes)
-        << name << " differs after paged kill-and-resume";
-  }
-
-  Result<std::unique_ptr<store::PagedStore>> engine = store::PagedStore::Open(
-      dir + "/" + store::PagedBlobStore::kPagesFileName, {});
-  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-  Result<store::PagedStore::IntegrityReport> integrity =
-      (*engine)->CheckIntegrity();
-  ASSERT_TRUE(integrity.ok()) << integrity.status().ToString();
-  EXPECT_EQ(integrity->torn_pages, 0u)
-      << (integrity->errors.empty() ? std::string()
-                                    : integrity->errors.front());
-  Result<std::vector<std::string>> keys = (*engine)->ListKeys();
-  ASSERT_TRUE(keys.ok());
-  for (const std::string& key : *keys) {
-    EXPECT_EQ(key.find(".corrupt"), std::string::npos)
-        << "quarantined record after paged resume: " << key;
   }
 }
 

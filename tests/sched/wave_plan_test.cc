@@ -1,14 +1,12 @@
-// Wave-plan identity and containment tests (DESIGN.md §15): the execution
-// mode ladder (naive / shared / fused) must be a pure performance knob —
-// suite report bytes and every cell's cache record sha256 identical across
-// modes — the planner's reuse counters must be structural (one plan per
-// (dataset, seed) group, one reuse hit per member cell), and a fault
-// during plan materialization must degrade to the per-cell rebuild path
-// without changing a byte of the cache.
+// Wave-plan containment tests (DESIGN.md §15): the planner's reuse
+// counters must be structural (one plan per (dataset, seed) group, one
+// reuse hit per member cell), and a fault during plan materialization must
+// degrade to the per-cell rebuild path without changing a byte of the
+// report or the cache.
 //
 // The binary is registered at FAIRCLEAN_THREADS 1, 2, and 4 (plain
-// add_test in tests/CMakeLists.txt), so the cross-mode comparison is
-// pinned at every suite fan-out width the golden tests use.
+// add_test in tests/CMakeLists.txt), so both are pinned at every suite
+// fan-out width the golden tests use.
 
 #include <unistd.h>
 
@@ -19,7 +17,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/exec_mode.h"
 #include "common/fault_injection.h"
 #include "common/hash.h"
 #include "common/safe_io.h"
@@ -32,13 +29,12 @@ namespace fairclean {
 namespace sched {
 namespace {
 
-StudyOptions PlanStudy(ExecMode mode) {
+StudyOptions PlanStudy() {
   StudyOptions options;
   options.sample_size = 300;
   options.num_repeats = 3;
   options.cv_folds = 3;
   options.seed = 42;
-  options.exec_mode = mode;
   return options;
 }
 
@@ -59,12 +55,12 @@ struct SuiteRun {
   std::map<std::string, std::string> cell_sha256;
 };
 
-// Runs the smoke subset (german missing values x three models) in `mode`
-// at the environment's thread width (threads = 0 resolves
-// FAIRCLEAN_THREADS — the width this registration is pinned to).
-SuiteRun RunSmoke(ExecMode mode, const std::string& cache_dir) {
+// Runs the smoke subset (german missing values x three models) at the
+// environment's thread width (threads = 0 resolves FAIRCLEAN_THREADS — the
+// width this registration is pinned to).
+SuiteRun RunSmoke(const std::string& cache_dir) {
   SuiteOptions options;
-  options.study = PlanStudy(mode);
+  options.study = PlanStudy();
   options.cache_dir = cache_dir;
   options.threads = 0;
   SuiteScheduler scheduler(options);
@@ -83,19 +79,18 @@ SuiteRun RunSmoke(ExecMode mode, const std::string& cache_dir) {
   return run;
 }
 
-// The fused run every scenario compares against. Computed once per
+// The planned run every scenario compares against. Computed once per
 // process.
-const SuiteRun& FusedBaseline() {
-  static const SuiteRun* run =
-      new SuiteRun(RunSmoke(ExecMode::kFused, FreshDir("fused")));
+const SuiteRun& PlannedBaseline() {
+  static const SuiteRun* run = new SuiteRun(RunSmoke(FreshDir("planned")));
   return *run;
 }
 
 void ExpectMatchesBaseline(const SuiteRun& run, const char* label) {
-  const SuiteRun& baseline = FusedBaseline();
+  const SuiteRun& baseline = PlannedBaseline();
   ASSERT_TRUE(run.status.ok()) << label << ": " << run.status.ToString();
   EXPECT_EQ(run.report, baseline.report)
-      << label << " report differs from fused";
+      << label << " report differs from the planned run";
   ASSERT_EQ(run.cell_sha256.size(), baseline.cell_sha256.size()) << label;
   for (const auto& [name, sha256] : baseline.cell_sha256) {
     ASSERT_TRUE(run.cell_sha256.count(name)) << label << ": " << name;
@@ -104,22 +99,12 @@ void ExpectMatchesBaseline(const SuiteRun& run, const char* label) {
   }
 }
 
-TEST(WavePlan, FusedBaselineSucceeds) {
-  const SuiteRun& baseline = FusedBaseline();
+TEST(WavePlan, PlannedBaselineSucceeds) {
+  const SuiteRun& baseline = PlannedBaseline();
   ASSERT_TRUE(baseline.status.ok()) << baseline.status.ToString();
   EXPECT_FALSE(baseline.report.empty());
   // One cache record per smoke cell; completed runs leave no journals.
   EXPECT_EQ(baseline.cell_sha256.size(), 3u);
-}
-
-TEST(WavePlan, NaiveModeIsByteIdenticalToFused) {
-  SuiteRun naive = RunSmoke(ExecMode::kNaive, FreshDir("naive"));
-  ExpectMatchesBaseline(naive, "naive");
-}
-
-TEST(WavePlan, SharedModeIsByteIdenticalToFused) {
-  SuiteRun shared = RunSmoke(ExecMode::kShared, FreshDir("shared"));
-  ExpectMatchesBaseline(shared, "shared");
 }
 
 // The planner's counters are structural, not incidental: one smoke wave of
@@ -132,24 +117,10 @@ TEST(WavePlan, ReuseCountersAreStructural) {
       obs::MetricsRegistry::Global().GetCounter("sched.plan_reuse_hits");
   uint64_t built_before = built->value();
   uint64_t hits_before = hits->value();
-  SuiteRun run = RunSmoke(ExecMode::kFused, FreshDir("counters"));
+  SuiteRun run = RunSmoke(FreshDir("counters"));
   ASSERT_TRUE(run.status.ok()) << run.status.ToString();
   EXPECT_EQ(built->value() - built_before, 1u);
   EXPECT_EQ(hits->value() - hits_before, 3u);
-}
-
-// Naive mode plans nothing — the counters must not move at all.
-TEST(WavePlan, NaiveModeBuildsNoPlans) {
-  obs::Counter* built =
-      obs::MetricsRegistry::Global().GetCounter("sched.wave_plans_built");
-  obs::Counter* hits =
-      obs::MetricsRegistry::Global().GetCounter("sched.plan_reuse_hits");
-  uint64_t built_before = built->value();
-  uint64_t hits_before = hits->value();
-  SuiteRun run = RunSmoke(ExecMode::kNaive, FreshDir("naive_counters"));
-  ASSERT_TRUE(run.status.ok()) << run.status.ToString();
-  EXPECT_EQ(built->value() - built_before, 0u);
-  EXPECT_EQ(hits->value() - hits_before, 0u);
 }
 
 // A fault during plan materialization drops only the group's plan: the run
@@ -164,7 +135,7 @@ TEST(WavePlan, PlanBuildFaultFallsBackWithoutCorruptingCache) {
   uint64_t built_before = built->value();
   uint64_t hits_before = hits->value();
   ASSERT_TRUE(FaultInjector::Global().Configure("plan_build:1:1", 1).ok());
-  SuiteRun faulted = RunSmoke(ExecMode::kFused, FreshDir("fault"));
+  SuiteRun faulted = RunSmoke(FreshDir("fault"));
   FaultInjector::Global().Reset();
   EXPECT_EQ(built->value() - built_before, 0u);
   EXPECT_EQ(hits->value() - hits_before, 0u);

@@ -30,7 +30,6 @@
 #include "obs/flight.h"
 #include "obs/json_lite.h"
 #include "serve/client.h"
-#include "store/paged_store.h"
 
 namespace fairclean {
 namespace serve {
@@ -53,11 +52,9 @@ struct ServerProc {
 
 // Forks and execs advisor_server on an ephemeral port with the suite
 // scaled down for test speed, scraping the bound port from its first
-// stdout line. `faults` is a FAIRCLEAN_FAULTS spec ("" = unfaulted);
-// `store` is a FAIRCLEAN_STORE backend ("" = the flat default).
+// stdout line. `faults` is a FAIRCLEAN_FAULTS spec ("" = unfaulted).
 ServerProc SpawnServer(const std::string& cache_dir,
-                       const std::string& faults,
-                       const std::string& store = "") {
+                       const std::string& faults) {
   ServerProc proc;
   int out_pipe[2];
   if (::pipe(out_pipe) != 0) return proc;
@@ -89,11 +86,6 @@ ServerProc SpawnServer(const std::string& cache_dir,
     } else {
       setenv("FAIRCLEAN_FAULTS", faults.c_str(), 1);
       setenv("FAIRCLEAN_FAULT_SEED", "7", 1);
-    }
-    if (store.empty()) {
-      unsetenv("FAIRCLEAN_STORE");
-    } else {
-      setenv("FAIRCLEAN_STORE", store.c_str(), 1);
     }
     ::execl(g_server_binary.c_str(), g_server_binary.c_str(), "--port", "0",
             static_cast<char*>(nullptr));
@@ -305,107 +297,6 @@ TEST(ServeSoakTest, KillAndRestartLosesProgressNeverCorrectness) {
         ReadFileToString(soak_dir + "/" + soak_answer.cache_file);
     ASSERT_TRUE(baseline_bytes.ok()) << baseline_answer.cache_file;
     ASSERT_TRUE(soak_bytes.ok()) << soak_answer.cache_file;
-    EXPECT_EQ(*baseline_bytes, *soak_bytes) << cell;
-  }
-}
-
-// The same soak against the paged storage backend, with page-flush faults
-// armed so the SIGKILL lands on a server whose pages file is mid-commit.
-// The dual-meta protocol turns that into lost progress only: the restarted
-// server reproduces the paged baseline's bytes, and the pages file
-// recovers with zero torn pages and zero quarantined records.
-TEST(ServeSoakTest, PagedStoreKillMidPageFlushLeavesZeroTornPages) {
-  ASSERT_FALSE(g_server_binary.empty())
-      << "usage: serve_soak_test <path to advisor_server>";
-
-  std::string baseline_dir = FreshDir("paged_baseline");
-  ServerProc baseline = SpawnServer(baseline_dir, "", "paged");
-  if (baseline.port == 0) {
-    KillServer(&baseline);
-    FAIL() << "paged baseline server did not report a port";
-  }
-  std::map<std::string, CellAnswer> expected = AnalyzeAll(baseline.port);
-  ShutdownServer(&baseline);
-  ASSERT_EQ(expected.size(), std::size(kCells));
-
-  // Transient page faults under concurrent load, then SIGKILL. page_write
-  // at 5% tears individual commit attempts (the engine rolls them back);
-  // the kill itself can land between a data flush and its meta write.
-  std::string soak_dir = FreshDir("paged_soak");
-  ServerProc faulted = SpawnServer(
-      soak_dir, "page_write:0.05,page_read:0.02,socket_read:0.05", "paged");
-  if (faulted.port == 0) {
-    KillServer(&faulted);
-    FAIL() << "faulted paged server did not report a port";
-  }
-  std::vector<std::thread> load;
-  for (int c = 0; c < 4; ++c) {
-    load.emplace_back([port = faulted.port, c] {
-      AdvisorClient client("127.0.0.1", port, /*seed=*/17 + c);
-      BackoffOptions backoff;
-      backoff.max_attempts = 2;
-      backoff.base_ms = 10;
-      for (int i = 0; i < 30; ++i) {
-        client.CallWithRetry(kCells[i % std::size(kCells)], backoff);
-      }
-    });
-  }
-  std::this_thread::sleep_for(std::chrono::milliseconds(40));
-  KillServer(&faulted);
-  for (std::thread& thread : load) thread.join();
-
-  ServerProc restarted = SpawnServer(soak_dir, "", "paged");
-  if (restarted.port == 0) {
-    KillServer(&restarted);
-    FAIL() << "restarted paged server did not report a port";
-  }
-  std::map<std::string, CellAnswer> served = AnalyzeAll(restarted.port);
-  ShutdownServer(&restarted);
-  ASSERT_EQ(served.size(), std::size(kCells));
-
-  // (a) The advisor's own digests and record names reproduce the paged
-  // baseline exactly.
-  for (const auto& [cell, baseline_answer] : expected) {
-    ASSERT_TRUE(served.count(cell)) << cell;
-    EXPECT_EQ(served.at(cell).sha256, baseline_answer.sha256) << cell;
-    EXPECT_EQ(served.at(cell).cache_file, baseline_answer.cache_file)
-        << cell;
-  }
-
-  // (b) Both servers are gone; open the engines directly. The soaked
-  // pages file must pass a full integrity walk — the hard kill and the
-  // injected page faults left zero torn reachable pages and nothing
-  // quarantined — and its record bytes must equal the baseline's.
-  for (const std::string& dir : {baseline_dir, soak_dir}) {
-    Result<std::unique_ptr<store::PagedStore>> engine =
-        store::PagedStore::Open(dir + "/fairclean.pages", {});
-    ASSERT_TRUE(engine.ok()) << dir << ": " << engine.status().ToString();
-    Result<store::PagedStore::IntegrityReport> integrity =
-        (*engine)->CheckIntegrity();
-    ASSERT_TRUE(integrity.ok()) << dir;
-    EXPECT_EQ(integrity->torn_pages, 0u)
-        << dir << ": "
-        << (integrity->errors.empty() ? std::string()
-                                      : integrity->errors.front());
-    Result<std::vector<std::string>> keys = (*engine)->ListKeys();
-    ASSERT_TRUE(keys.ok()) << dir;
-    for (const std::string& key : *keys) {
-      EXPECT_EQ(key.find(".corrupt"), std::string::npos)
-          << "quarantined record after paged restart: " << key;
-    }
-  }
-  Result<std::unique_ptr<store::PagedStore>> baseline_engine =
-      store::PagedStore::Open(baseline_dir + "/fairclean.pages", {});
-  Result<std::unique_ptr<store::PagedStore>> soak_engine =
-      store::PagedStore::Open(soak_dir + "/fairclean.pages", {});
-  ASSERT_TRUE(baseline_engine.ok() && soak_engine.ok());
-  for (const auto& [cell, answer] : expected) {
-    if (answer.cache_file.empty()) continue;
-    Result<std::string> baseline_bytes =
-        (*baseline_engine)->Get(answer.cache_file);
-    Result<std::string> soak_bytes = (*soak_engine)->Get(answer.cache_file);
-    ASSERT_TRUE(baseline_bytes.ok()) << answer.cache_file;
-    ASSERT_TRUE(soak_bytes.ok()) << answer.cache_file;
     EXPECT_EQ(*baseline_bytes, *soak_bytes) << cell;
   }
 }

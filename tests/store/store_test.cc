@@ -1,33 +1,16 @@
-// Storage-engine tests (DESIGN.md §11): the LZSS codec, page codec, pager,
-// LRU page cache, copy-on-write B-tree, and the PagedStore on top of them —
-// round trips, corruption rejection, eviction-order properties, tree
-// invariants under splits, fault-injected transaction rollback, torn-meta
-// recovery, integrity walks, and flat→paged migration byte identity.
+// Flat artifact-store tests: read/write/remove/contains semantics, the
+// "cache_write" fault probe on Write, and unique quarantine paths.
 
 #include <unistd.h>
 
-#include <algorithm>
-#include <cstdint>
 #include <filesystem>
-#include <fstream>
-#include <map>
-#include <optional>
-#include <random>
 #include <string>
-#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/fault_injection.h"
 #include "common/safe_io.h"
-#include "common/strings.h"
 #include "store/blob_store.h"
-#include "store/btree.h"
-#include "store/compress.h"
-#include "store/page.h"
-#include "store/page_cache.h"
-#include "store/paged_store.h"
-#include "store/pager.h"
 
 namespace fairclean {
 namespace store {
@@ -41,777 +24,48 @@ std::string FreshDir(const std::string& name) {
   return dir;
 }
 
-// Deterministic byte soup: incompressible enough to exercise literal paths,
-// seeded so failures reproduce.
-std::string RandomBytes(size_t n, uint32_t seed) {
-  std::mt19937 rng(seed);
-  std::string out;
-  out.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    out.push_back(static_cast<char>(rng() & 0xff));
-  }
-  return out;
+TEST(BlobStoreTest, ReadWriteRemoveContainsSemantics) {
+  std::string dir = FreshDir("blob");
+  FlatFileStore store(dir);
+
+  std::string bytes = AppendChecksumFooter("{\"records\": []}\n");
+  ASSERT_TRUE(store.Write("cell.json", bytes).ok());
+  EXPECT_EQ(*store.Read("cell.json"), bytes);
+  EXPECT_EQ(*ReadFileToString(dir + "/cell.json"), bytes);
+  EXPECT_TRUE(*store.Contains("cell.json"));
+  EXPECT_EQ(store.Read("ghost.json").status().code(), StatusCode::kNotFound);
+  EXPECT_FALSE(*store.Contains("ghost.json"));
+  ASSERT_TRUE(store.Remove("cell.json").ok());
+  EXPECT_TRUE(store.Remove("cell.json").ok());  // idempotent
+  EXPECT_FALSE(*store.Contains("cell.json"));
+  EXPECT_EQ(store.Describe("cell.json"), dir + "/cell.json");
 }
 
-// Flips one byte of the backing file inside page `page_id` at `offset`
-// bytes past the page header — the kind of damage a torn sector leaves.
-void CorruptPageOnDisk(const std::string& path, uint64_t page_id,
-                       size_t offset) {
-  std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
-  ASSERT_TRUE(file.good()) << path;
-  auto at = static_cast<std::streamoff>(page_id * kPageSize +
-                                        kPageHeaderSize + offset);
-  file.seekg(at);
-  char byte = 0;
-  file.read(&byte, 1);
-  byte = static_cast<char>(byte ^ 0x5a);
-  file.seekp(at);
-  file.write(&byte, 1);
-  ASSERT_TRUE(file.good()) << path;
-}
-
-// ---------------------------------------------------------------- compress
-
-TEST(LzssTest, RoundTripsRepresentativePayloads) {
-  std::vector<std::string> payloads = {
-      "",
-      "x",
-      "abc",
-      std::string(5000, 'a'),
-      "{\"accuracy\": [0.81, 0.82, 0.81], \"accuracy\": [0.81, 0.82]}",
-      RandomBytes(10000, 7),
-      std::string("\0\0\0binary\0with\0nuls\0", 20),
-  };
-  for (const std::string& raw : payloads) {
-    std::string packed = LzssCompress(raw);
-    Result<std::string> unpacked = LzssDecompress(packed, raw.size());
-    ASSERT_TRUE(unpacked.ok()) << unpacked.status().ToString();
-    EXPECT_EQ(*unpacked, raw);
-  }
-}
-
-TEST(LzssTest, OutputIsDeterministic) {
-  std::string raw = RandomBytes(4096, 11) + std::string(2048, 'z');
-  EXPECT_EQ(LzssCompress(raw), LzssCompress(raw));
-}
-
-TEST(LzssTest, CompressesRedundantInput) {
-  std::string raw;
-  for (int i = 0; i < 200; ++i) raw += "the same record line again\n";
-  EXPECT_LT(LzssCompress(raw).size(), raw.size() / 4);
-}
-
-TEST(LzssTest, RejectsWrongRawSizeAndTruncatedStreams) {
-  std::string raw(1000, 'q');
-  std::string packed = LzssCompress(raw);
-  EXPECT_FALSE(LzssDecompress(packed, raw.size() + 1).ok());
-  EXPECT_FALSE(LzssDecompress(packed, raw.size() - 1).ok());
-  EXPECT_FALSE(
-      LzssDecompress(std::string_view(packed).substr(0, packed.size() / 2),
-                     raw.size())
-          .ok());
-}
-
-// -------------------------------------------------------------------- page
-
-Page MakePage(uint64_t id) {
-  Page page;
-  page.type = PageType::kData;
-  page.flags = 1;
-  page.next_page = id + 17;
-  page.page_id = id;
-  page.payload = RandomBytes(kMaxPayload / 2, static_cast<uint32_t>(id));
-  return page;
-}
-
-TEST(PageTest, EncodeDecodeRoundTrip) {
-  Page page = MakePage(42);
-  std::string bytes = EncodePage(page);
-  ASSERT_EQ(bytes.size(), kPageSize);
-  Result<Page> decoded = DecodePage(bytes, 42);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->type, page.type);
-  EXPECT_EQ(decoded->flags, page.flags);
-  EXPECT_EQ(decoded->next_page, page.next_page);
-  EXPECT_EQ(decoded->page_id, page.page_id);
-  EXPECT_EQ(decoded->payload, page.payload);
-}
-
-TEST(PageTest, AnySingleByteFlipIsRejected) {
-  std::string bytes = EncodePage(MakePage(3));
-  // A sample across header, payload, and zero padding — each flip must
-  // break the CRC (or the CRC field itself).
-  const std::vector<size_t> flips = {0, 4, 9, 40, 2000, kPageSize - 1};
-  for (size_t at : flips) {
-    std::string torn = bytes;
-    torn[at] = static_cast<char>(torn[at] ^ 0x80);
-    Result<Page> decoded = DecodePage(torn, 3);
-    ASSERT_FALSE(decoded.ok()) << "flip at " << at;
-    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
-  }
-}
-
-TEST(PageTest, MisdirectedWriteIsRejectedByIdEcho) {
-  std::string bytes = EncodePage(MakePage(5));
-  Result<Page> decoded = DecodePage(bytes, 6);
-  ASSERT_FALSE(decoded.ok());
-  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(PageTest, ShortBufferIsRejected) {
-  std::string bytes = EncodePage(MakePage(1));
-  Result<Page> decoded =
-      DecodePage(std::string_view(bytes).substr(0, kPageSize - 1), 1);
-  ASSERT_FALSE(decoded.ok());
-  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
-}
-
-// ------------------------------------------------------------------- pager
-
-TEST(PagerTest, RoundTripsAcrossReopen) {
-  std::string path = FreshDir("pager") + "/pages";
-  {
-    Result<std::unique_ptr<Pager>> pager = Pager::Open(path);
-    ASSERT_TRUE(pager.ok()) << pager.status().ToString();
-    EXPECT_EQ((*pager)->PageCount(), 0u);
-    for (uint64_t id = 0; id < 8; ++id) {
-      ASSERT_TRUE((*pager)->Write(MakePage(id)).ok());
-    }
-    ASSERT_TRUE((*pager)->Sync().ok());
-    EXPECT_EQ((*pager)->PageCount(), 8u);
-  }
-  Result<std::unique_ptr<Pager>> pager = Pager::Open(path);
-  ASSERT_TRUE(pager.ok());
-  EXPECT_EQ((*pager)->PageCount(), 8u);
-  for (uint64_t id = 0; id < 8; ++id) {
-    Result<Page> page = (*pager)->Read(id);
-    ASSERT_TRUE(page.ok()) << page.status().ToString();
-    EXPECT_EQ(page->payload, MakePage(id).payload);
-  }
-}
-
-TEST(PagerTest, TornPageOnDiskIsInvalidArgument) {
-  std::string path = FreshDir("pager_torn") + "/pages";
-  Result<std::unique_ptr<Pager>> pager = Pager::Open(path);
-  ASSERT_TRUE(pager.ok());
-  ASSERT_TRUE((*pager)->Write(MakePage(0)).ok());
-  CorruptPageOnDisk(path, 0, 10);
-  Result<Page> page = (*pager)->Read(0);
-  ASSERT_FALSE(page.ok());
-  EXPECT_EQ(page.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(PagerTest, ReadPastEofIsInvalidArgumentNotIoError) {
-  // A short read is a torn/absent page (fallback territory), not a failed
-  // syscall — the meta-recovery path depends on the distinction.
-  std::string path = FreshDir("pager_eof") + "/pages";
-  Result<std::unique_ptr<Pager>> pager = Pager::Open(path);
-  ASSERT_TRUE(pager.ok());
-  Result<Page> page = (*pager)->Read(99);
-  ASSERT_FALSE(page.ok());
-  EXPECT_EQ(page.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(PagerTest, FaultSitesFireAsIoErrors) {
-  std::string path = FreshDir("pager_fault") + "/pages";
-  Result<std::unique_ptr<Pager>> pager = Pager::Open(path);
-  ASSERT_TRUE(pager.ok());
-  ASSERT_TRUE((*pager)->Write(MakePage(0)).ok());
-
-  ASSERT_TRUE(FaultInjector::Global().Configure("page_write:1:1", 3).ok());
-  Status write = (*pager)->Write(MakePage(1));
-  EXPECT_EQ(write.code(), StatusCode::kIoError);
-  ASSERT_TRUE((*pager)->Write(MakePage(1)).ok());  // max_fires exhausted
-
-  ASSERT_TRUE(FaultInjector::Global().Configure("page_read:1:1", 3).ok());
-  Result<Page> read = (*pager)->Read(0);
+TEST(BlobStoreTest, WriteProbesCacheWriteSite) {
+  FlatFileStore store(FreshDir("blob_fault"));
+  ASSERT_TRUE(FaultInjector::Global().Configure("cache_write:1:1", 9).ok());
+  Status write = store.Write("k.json", "bytes");
   FaultInjector::Global().Reset();
-  ASSERT_FALSE(read.ok());
-  EXPECT_EQ(read.status().code(), StatusCode::kIoError);
-  EXPECT_TRUE((*pager)->Read(0).ok());
-}
-
-// -------------------------------------------------------------- page cache
-
-TEST(PageCacheTest, EvictsLeastRecentlyUsedFirst) {
-  PageCache cache(2);
-  cache.Put(1, MakePage(1));
-  cache.Put(2, MakePage(2));
-  ASSERT_TRUE(cache.Get(1).has_value());  // bump 1 to MRU
-  cache.Put(3, MakePage(3));              // evicts 2, the LRU
-  EXPECT_TRUE(cache.Get(1).has_value());
-  EXPECT_FALSE(cache.Get(2).has_value());
-  EXPECT_TRUE(cache.Get(3).has_value());
-  EXPECT_EQ(cache.evictions(), 1u);
-}
-
-TEST(PageCacheTest, MatchesReferenceLruModelUnderRandomOps) {
-  // Property test: drive the cache and a trivially correct reference LRU
-  // through the same op sequence; membership must agree after every op.
-  constexpr size_t kCapacity = 8;
-  PageCache cache(kCapacity);
-  std::vector<uint64_t> model;  // MRU at front
-  auto model_touch = [&](uint64_t id, bool insert) {
-    auto it = std::find(model.begin(), model.end(), id);
-    if (it != model.end()) {
-      model.erase(it);
-    } else if (!insert) {
-      return false;
-    }
-    model.insert(model.begin(), id);
-    if (model.size() > kCapacity) model.pop_back();
-    return true;
-  };
-  std::mt19937 rng(13);
-  for (int op = 0; op < 4000; ++op) {
-    uint64_t id = rng() % 24;
-    switch (rng() % 3) {
-      case 0:
-        cache.Put(id, MakePage(id));
-        model_touch(id, /*insert=*/true);
-        break;
-      case 1: {
-        bool hit = cache.Get(id).has_value();
-        EXPECT_EQ(hit, model_touch(id, /*insert=*/false)) << "op " << op;
-        break;
-      }
-      case 2: {
-        cache.Erase(id);
-        auto it = std::find(model.begin(), model.end(), id);
-        if (it != model.end()) model.erase(it);
-        break;
-      }
-    }
-    ASSERT_EQ(cache.size(), model.size()) << "op " << op;
-  }
-  EXPECT_GT(cache.hits(), 0u);
-  EXPECT_GT(cache.evictions(), 0u);
-}
-
-TEST(PageCacheTest, ZeroCapacityNeverCaches) {
-  PageCache cache(0);
-  cache.Put(1, MakePage(1));
-  EXPECT_FALSE(cache.Get(1).has_value());
-  EXPECT_EQ(cache.size(), 0u);
-}
-
-TEST(PageCacheTest, ClearDropsEverything) {
-  PageCache cache(4);
-  for (uint64_t id = 0; id < 4; ++id) cache.Put(id, MakePage(id));
-  cache.Clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_FALSE(cache.Get(0).has_value());
-}
-
-// ------------------------------------------------------------------- btree
-
-// NodeIo over a map: never reuses a page id, so superseded (copy-on-write)
-// roots stay readable — which the CowKeepsOldRootReadable test relies on.
-class InMemoryNodeIo : public NodeIo {
- public:
-  Result<Page> ReadNode(uint64_t page_id) override {
-    auto it = nodes_.find(page_id);
-    if (it == nodes_.end()) {
-      return Status::InvalidArgument("no node page " +
-                                     std::to_string(page_id));
-    }
-    Page page;
-    page.type = PageType::kIndex;
-    page.page_id = page_id;
-    page.payload = it->second;
-    return page;
-  }
-  Result<uint64_t> WriteNode(const std::string& payload) override {
-    uint64_t id = next_id_++;
-    nodes_[id] = payload;
-    return id;
-  }
-  void FreeNode(uint64_t page_id) override { freed_.push_back(page_id); }
-
-  size_t node_count() const { return nodes_.size(); }
-  const std::vector<uint64_t>& freed() const { return freed_; }
-
- private:
-  uint64_t next_id_ = 2;  // 0 is the empty-tree sentinel, 1 a meta slot
-  std::map<uint64_t, std::string> nodes_;
-  std::vector<uint64_t> freed_;
-};
-
-std::string NthKey(int i) {
-  // 48-byte keys force splits after ~70 leaf entries.
-  return StrFormat("adult_outliers_LR_s%04d_n300_r3_f0.json.padpadpad", i);
-}
-
-TEST(BTreeTest, InsertLookupIterateStaySortedAcrossSplits) {
-  InMemoryNodeIo io;
-  uint64_t root = 0;
-  constexpr int kKeys = 500;
-  std::vector<int> order(kKeys);
-  for (int i = 0; i < kKeys; ++i) order[i] = i;
-  std::shuffle(order.begin(), order.end(), std::mt19937(29));
-  for (int i : order) {
-    Result<uint64_t> next = BTreeInsert(io, root, NthKey(i), 1000u + i);
-    ASSERT_TRUE(next.ok()) << next.status().ToString();
-    root = *next;
-  }
-  // Shuffled inserts of 500 wide keys must have split into a real tree.
-  EXPECT_GT(io.node_count(), 5u);
-
-  for (int i = 0; i < kKeys; ++i) {
-    Result<std::optional<uint64_t>> hit = BTreeLookup(io, root, NthKey(i));
-    ASSERT_TRUE(hit.ok()) << hit.status().ToString();
-    ASSERT_TRUE(hit->has_value()) << NthKey(i);
-    EXPECT_EQ(**hit, 1000u + i);
-  }
-  Result<std::optional<uint64_t>> miss =
-      BTreeLookup(io, root, "no_such_key");
-  ASSERT_TRUE(miss.ok());
-  EXPECT_FALSE(miss->has_value());
-
-  std::vector<std::string> keys;
-  ASSERT_TRUE(BTreeIterate(io, root, [&](std::string_view key, uint64_t) {
-                keys.emplace_back(key);
-                return Status::OK();
-              }).ok());
-  ASSERT_EQ(keys.size(), static_cast<size_t>(kKeys));
-  EXPECT_TRUE(std::is_sorted(keys.begin(), keys.end()));
-
-  std::vector<uint64_t> pages;
-  ASSERT_TRUE(BTreeCollectPages(io, root, &pages).ok());
-  EXPECT_GT(pages.size(), 5u);
-}
-
-TEST(BTreeTest, InsertReplacesExistingValue) {
-  InMemoryNodeIo io;
-  uint64_t root = 0;
-  root = *BTreeInsert(io, root, "key", 1);
-  root = *BTreeInsert(io, root, "key", 2);
-  Result<std::optional<uint64_t>> hit = BTreeLookup(io, root, "key");
-  ASSERT_TRUE(hit.ok());
-  EXPECT_EQ(**hit, 2u);
-  std::vector<std::string> keys;
-  ASSERT_TRUE(BTreeIterate(io, root, [&](std::string_view key, uint64_t) {
-                keys.emplace_back(key);
-                return Status::OK();
-              }).ok());
-  EXPECT_EQ(keys.size(), 1u);
-}
-
-TEST(BTreeTest, DeleteRemovesAndReportsFound) {
-  InMemoryNodeIo io;
-  uint64_t root = 0;
-  constexpr int kKeys = 200;
-  for (int i = 0; i < kKeys; ++i) {
-    root = *BTreeInsert(io, root, NthKey(i), i);
-  }
-  for (int i = 0; i < kKeys; i += 2) {
-    Result<BTreeDeleteOutcome> out = BTreeDelete(io, root, NthKey(i));
-    ASSERT_TRUE(out.ok()) << out.status().ToString();
-    EXPECT_TRUE(out->found) << NthKey(i);
-    root = out->root;
-  }
-  Result<BTreeDeleteOutcome> missing = BTreeDelete(io, root, "absent");
-  ASSERT_TRUE(missing.ok());
-  EXPECT_FALSE(missing->found);
-  for (int i = 0; i < kKeys; ++i) {
-    Result<std::optional<uint64_t>> hit = BTreeLookup(io, root, NthKey(i));
-    ASSERT_TRUE(hit.ok());
-    EXPECT_EQ(hit->has_value(), i % 2 == 1) << NthKey(i);
-  }
-  // Delete is copy-on-write too: superseded nodes were handed to FreeNode.
-  EXPECT_FALSE(io.freed().empty());
-}
-
-TEST(BTreeTest, CowKeepsOldRootReadable) {
-  InMemoryNodeIo io;
-  uint64_t root = 0;
-  for (int i = 0; i < 100; ++i) {
-    root = *BTreeInsert(io, root, NthKey(i), i);
-  }
-  uint64_t old_root = root;
-  root = *BTreeInsert(io, root, NthKey(100), 100);
-  // The committed tree from before the insert still answers correctly.
-  Result<std::optional<uint64_t>> stale =
-      BTreeLookup(io, old_root, NthKey(100));
-  ASSERT_TRUE(stale.ok());
-  EXPECT_FALSE(stale->has_value());
-  Result<std::optional<uint64_t>> fresh = BTreeLookup(io, root, NthKey(100));
-  ASSERT_TRUE(fresh.ok());
-  EXPECT_TRUE(fresh->has_value());
-}
-
-TEST(BTreeTest, RejectsEmptyAndOversizedKeys) {
-  InMemoryNodeIo io;
-  std::string huge(kMaxKeyLen + 1, 'k');
-  EXPECT_EQ(BTreeInsert(io, 0, "", 1).status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(BTreeInsert(io, 0, huge, 1).status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(BTreeLookup(io, 0, huge).status().code(),
-            StatusCode::kInvalidArgument);
-}
-
-// ------------------------------------------------------------- paged store
-
-PagedStoreOptions FastOptions() {
-  PagedStoreOptions options;
-  options.fsync = false;  // tmpfs durability is not under test; speed is
-  return options;
-}
-
-TEST(PagedStoreTest, PutGetDeleteRenameListAcrossReopen) {
-  std::string path = FreshDir("basic") + "/fairclean.pages";
-  std::string binary = RandomBytes(500, 21);
-  {
-    Result<std::unique_ptr<PagedStore>> store =
-        PagedStore::Open(path, FastOptions());
-    ASSERT_TRUE(store.ok()) << store.status().ToString();
-    ASSERT_TRUE((*store)->Put("a.json", "alpha").ok());
-    ASSERT_TRUE((*store)->Put("b.json", binary).ok());
-    ASSERT_TRUE((*store)->Put("c.json", "gamma").ok());
-    ASSERT_TRUE((*store)->Put("a.json", "alpha-2").ok());  // overwrite
-    ASSERT_TRUE((*store)->Delete("c.json").ok());
-    EXPECT_EQ((*store)->Delete("c.json").code(), StatusCode::kNotFound);
-    ASSERT_TRUE((*store)->Rename("b.json", "b.corrupt").ok());
-    EXPECT_EQ((*store)->Rename("ghost", "x").code(), StatusCode::kNotFound);
-    EXPECT_EQ((*store)->Rename("a.json", "b.corrupt").code(),
-              StatusCode::kAlreadyExists);
-    EXPECT_EQ((*store)->entry_count(), 2u);
-  }
-  Result<std::unique_ptr<PagedStore>> store =
-      PagedStore::Open(path, FastOptions());
-  ASSERT_TRUE(store.ok()) << store.status().ToString();
-  EXPECT_EQ((*store)->entry_count(), 2u);
-  EXPECT_EQ(*(*store)->Get("a.json"), "alpha-2");
-  EXPECT_EQ(*(*store)->Get("b.corrupt"), binary);
-  EXPECT_EQ((*store)->Get("c.json").status().code(), StatusCode::kNotFound);
-  Result<std::vector<std::string>> keys = (*store)->ListKeys();
-  ASSERT_TRUE(keys.ok());
-  EXPECT_EQ(*keys, (std::vector<std::string>{"a.json", "b.corrupt"}));
-  Result<bool> has = (*store)->Contains("a.json");
-  ASSERT_TRUE(has.ok());
-  EXPECT_TRUE(*has);
-}
-
-TEST(PagedStoreTest, MultiPageChainsRoundTrip) {
-  std::string path = FreshDir("chains") + "/fairclean.pages";
-  Result<std::unique_ptr<PagedStore>> store =
-      PagedStore::Open(path, FastOptions());
-  ASSERT_TRUE(store.ok());
-  // Exercise the chunking edges: below, at, just past, and far past one
-  // page of payload (minus the 16-byte record header).
-  const std::vector<size_t> sizes = {0,           100,
-                                     kMaxPayload - 16, kMaxPayload - 15,
-                                     kMaxPayload,      3 * kMaxPayload + 7};
-  for (size_t size : sizes) {
-    std::string value = RandomBytes(size, static_cast<uint32_t>(size));
-    std::string key = StrFormat("len_%zu", size);
-    ASSERT_TRUE((*store)->Put(key, value).ok()) << key;
-    Result<std::string> read = (*store)->Get(key);
-    ASSERT_TRUE(read.ok()) << key;
-    EXPECT_EQ(*read, value) << key;
-  }
-  Result<PagedStore::IntegrityReport> report = (*store)->CheckIntegrity();
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->torn_pages, 0u);
-  EXPECT_EQ(report->entries, 6u);
-}
-
-TEST(PagedStoreTest, CompressionIsByteTransparentAndSavesPages) {
-  std::string dir = FreshDir("compress");
-  std::string value;
-  for (int i = 0; i < 400; ++i) {
-    value += StrFormat("{\"accuracy\": 0.8%02d, \"f1\": 0.7%02d}\n", i % 100,
-                       i % 100);
-  }
-  uint64_t plain_pages = 0;
-  {
-    Result<std::unique_ptr<PagedStore>> store =
-        PagedStore::Open(dir + "/plain.pages", FastOptions());
-    ASSERT_TRUE(store.ok());
-    ASSERT_TRUE((*store)->Put("k", value).ok());
-    plain_pages = (*store)->CheckIntegrity()->pages_total;
-  }
-  PagedStoreOptions options = FastOptions();
-  options.compress = true;
-  Result<std::unique_ptr<PagedStore>> store =
-      PagedStore::Open(dir + "/packed.pages", options);
-  ASSERT_TRUE(store.ok());
-  ASSERT_TRUE((*store)->Put("k", value).ok());
-  EXPECT_EQ(*(*store)->Get("k"), value);  // exact original bytes
-  EXPECT_LT((*store)->CheckIntegrity()->pages_total, plain_pages);
-
-  // A compressed record survives reopen by a non-compressing store: the
-  // flag travels with the record, not the options.
-  store = PagedStore::Open(dir + "/packed.pages", FastOptions());
-  ASSERT_TRUE(store.ok());
-  EXPECT_EQ(*(*store)->Get("k"), value);
-}
-
-TEST(PagedStoreTest, FaultedPutRollsBackCleanly) {
-  std::string path = FreshDir("rollback") + "/fairclean.pages";
-  Result<std::unique_ptr<PagedStore>> store =
-      PagedStore::Open(path, FastOptions());
-  ASSERT_TRUE(store.ok());
-  ASSERT_TRUE((*store)->Put("stable.json", "committed bytes").ok());
-  uint64_t txn_before = (*store)->txn_id();
-
-  // An injected write fault mid-transaction (the commit-point crash is
-  // covered by TornLatestMetaFallsBackToPreviousTxn) must leave the
-  // committed state untouched — twice in a row, to prove the rollback
-  // itself restores a reusable snapshot.
-  for (int round = 0; round < 2; ++round) {
-    ASSERT_TRUE(
-        FaultInjector::Global().Configure("page_write:1:1", 5).ok());
-    Status put = (*store)->Put("doomed.json", RandomBytes(9000, 3));
-    FaultInjector::Global().Reset();
-    ASSERT_FALSE(put.ok()) << "round " << round;
-    EXPECT_EQ(put.code(), StatusCode::kIoError);
-
-    EXPECT_EQ((*store)->txn_id(), txn_before);
-    EXPECT_EQ((*store)->entry_count(), 1u);
-    EXPECT_EQ(*(*store)->Get("stable.json"), "committed bytes");
-    EXPECT_EQ((*store)->Get("doomed.json").status().code(),
-              StatusCode::kNotFound);
-    Result<PagedStore::IntegrityReport> report = (*store)->CheckIntegrity();
-    ASSERT_TRUE(report.ok());
-    EXPECT_EQ(report->torn_pages, 0u) << "round " << round;
-  }
-
-  // The store is not wedged: the same Put succeeds once faults clear.
-  ASSERT_TRUE((*store)->Put("doomed.json", RandomBytes(9000, 3)).ok());
-  EXPECT_EQ((*store)->entry_count(), 2u);
-}
-
-TEST(PagedStoreTest, TornLatestMetaFallsBackToPreviousTxn) {
-  std::string path = FreshDir("meta_fallback") + "/fairclean.pages";
-  {
-    Result<std::unique_ptr<PagedStore>> store =
-        PagedStore::Open(path, FastOptions());
-    ASSERT_TRUE(store.ok());
-    ASSERT_TRUE((*store)->Put("first.json", "survives").ok());   // txn 1
-    ASSERT_TRUE((*store)->Put("second.json", "vanishes").ok());  // txn 2
-    ASSERT_EQ((*store)->txn_id(), 2u);
-  }
-  // Tear the meta slot txn 2 wrote (slot 2 % 2 == 0), the way a crash
-  // between its write and its fsync would.
-  CorruptPageOnDisk(path, 0, 20);
-
-  Result<std::unique_ptr<PagedStore>> store =
-      PagedStore::Open(path, FastOptions());
-  ASSERT_TRUE(store.ok()) << store.status().ToString();
-  EXPECT_EQ((*store)->txn_id(), 1u);
-  EXPECT_EQ((*store)->entry_count(), 1u);
-  EXPECT_EQ(*(*store)->Get("first.json"), "survives");
-  EXPECT_EQ((*store)->Get("second.json").status().code(),
-            StatusCode::kNotFound);
-  // The recovered state is fully intact — the torn slot cost the last
-  // transaction, never a reachable page.
-  Result<PagedStore::IntegrityReport> report = (*store)->CheckIntegrity();
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->torn_pages, 0u);
-
-  // And the store moves on: the next commit rewrites the torn slot.
-  ASSERT_TRUE((*store)->Put("third.json", "fresh").ok());
-  EXPECT_EQ((*store)->txn_id(), 2u);
-}
-
-TEST(PagedStoreTest, BothMetasTornFailsOpenLoudly) {
-  std::string path = FreshDir("meta_gone") + "/fairclean.pages";
-  {
-    Result<std::unique_ptr<PagedStore>> store =
-        PagedStore::Open(path, FastOptions());
-    ASSERT_TRUE(store.ok());
-    ASSERT_TRUE((*store)->Put("k", "v").ok());
-  }
-  CorruptPageOnDisk(path, 0, 8);
-  CorruptPageOnDisk(path, 1, 8);
-  Result<std::unique_ptr<PagedStore>> store =
-      PagedStore::Open(path, FastOptions());
-  ASSERT_FALSE(store.ok());
-  EXPECT_EQ(store.status().code(), StatusCode::kIoError);
-}
-
-TEST(PagedStoreTest, CheckIntegrityReportsTornDataPage) {
-  std::string path = FreshDir("torn_data") + "/fairclean.pages";
-  {
-    Result<std::unique_ptr<PagedStore>> store =
-        PagedStore::Open(path, FastOptions());
-    ASSERT_TRUE(store.ok());
-    // Txn 1 allocates page 2 for the data chain, page 3 for the leaf.
-    ASSERT_TRUE((*store)->Put("k.json", RandomBytes(200, 5)).ok());
-  }
-  CorruptPageOnDisk(path, 2, 30);
-  Result<std::unique_ptr<PagedStore>> store =
-      PagedStore::Open(path, FastOptions());
-  ASSERT_TRUE(store.ok());
-  Result<std::string> read = (*store)->Get("k.json");
-  ASSERT_FALSE(read.ok());
-  EXPECT_EQ(read.status().code(), StatusCode::kInvalidArgument);
-  Result<PagedStore::IntegrityReport> report = (*store)->CheckIntegrity();
-  ASSERT_TRUE(report.ok());
-  EXPECT_GE(report->torn_pages, 1u);
-  ASSERT_FALSE(report->errors.empty());
-  EXPECT_NE(report->errors.front().find("k.json"), std::string::npos);
-}
-
-TEST(PagedStoreTest, FreeListSpillSurvivesReopenAndRecyclesPages) {
-  // Overwriting a ~600-page record frees more page ids than the meta's
-  // ~501 inline slots hold, forcing the free list to spill into chain
-  // pages — then reopen must recover every freed page, and further
-  // rewrites must recycle them instead of growing the file.
-  std::string path = FreshDir("spill") + "/fairclean.pages";
-  std::string big = RandomBytes(600 * kMaxPayload, 17);
-  {
-    Result<std::unique_ptr<PagedStore>> store =
-        PagedStore::Open(path, FastOptions());
-    ASSERT_TRUE(store.ok());
-    ASSERT_TRUE((*store)->Put("k", big).ok());
-    ASSERT_TRUE((*store)->Put("k", big).ok());  // frees the first chain
-    Result<PagedStore::IntegrityReport> before = (*store)->CheckIntegrity();
-    ASSERT_TRUE(before.ok());
-    EXPECT_EQ(before->torn_pages, 0u);
-    EXPECT_GT(before->pages_free, 550u);  // past inline capacity: spilled
-  }
-  Result<std::unique_ptr<PagedStore>> store =
-      PagedStore::Open(path, FastOptions());
-  ASSERT_TRUE(store.ok());
-  Result<PagedStore::IntegrityReport> reopened = (*store)->CheckIntegrity();
-  ASSERT_TRUE(reopened.ok());
-  EXPECT_EQ(reopened->torn_pages, 0u);
-  EXPECT_GT(reopened->pages_free, 550u);
-  EXPECT_EQ(*(*store)->Get("k"), big);
-
-  uint64_t pages_before = reopened->pages_total;
-  for (int round = 0; round < 3; ++round) {
-    ASSERT_TRUE((*store)->Put("k", big).ok());
-  }
-  Result<PagedStore::IntegrityReport> after = (*store)->CheckIntegrity();
-  ASSERT_TRUE(after.ok());
-  EXPECT_EQ(after->torn_pages, 0u);
-  // Rewrites recycle freed pages instead of growing the file unboundedly;
-  // the slack covers spill-chain churn (spill pages always come from EOF).
-  EXPECT_LE(after->pages_total, pages_before + 40);
-}
-
-// -------------------------------------------------------------- blob store
-
-TEST(BlobStoreTest, FlatAndPagedBackendsShareSemantics) {
-  for (const char* backend : {"flat", "paged"}) {
-    std::string dir = FreshDir(std::string("blob_") + backend);
-    Result<std::shared_ptr<BlobStore>> store =
-        OpenBlobStore(dir, backend, 64, false);
-    ASSERT_TRUE(store.ok()) << store.status().ToString();
-    EXPECT_STREQ((*store)->backend(), backend);
-
-    std::string bytes = AppendChecksumFooter("{\"records\": []}\n");
-    ASSERT_TRUE((*store)->Write("cell.json", bytes).ok());
-    EXPECT_EQ(*(*store)->Read("cell.json"), bytes);
-    EXPECT_TRUE(*(*store)->Contains("cell.json"));
-    EXPECT_EQ((*store)->Read("ghost.json").status().code(),
-              StatusCode::kNotFound);
-    EXPECT_FALSE(*(*store)->Contains("ghost.json"));
-    ASSERT_TRUE((*store)->Remove("cell.json").ok());
-    EXPECT_TRUE((*store)->Remove("cell.json").ok());  // idempotent
-    EXPECT_FALSE(*(*store)->Contains("cell.json"));
-    EXPECT_NE((*store)->Describe("cell.json").find("cell.json"),
-              std::string::npos);
-  }
-}
-
-TEST(BlobStoreTest, WriteProbesCacheWriteSiteOnBothBackends) {
-  for (const char* backend : {"flat", "paged"}) {
-    std::string dir = FreshDir(std::string("blob_fault_") + backend);
-    Result<std::shared_ptr<BlobStore>> store =
-        OpenBlobStore(dir, backend, 64, false);
-    ASSERT_TRUE(store.ok());
-    ASSERT_TRUE(FaultInjector::Global().Configure("cache_write:1:1", 9).ok());
-    Status write = (*store)->Write("k.json", "bytes");
-    FaultInjector::Global().Reset();
-    EXPECT_EQ(write.code(), StatusCode::kIoError) << backend;
-    EXPECT_FALSE(*(*store)->Contains("k.json")) << backend;
-    ASSERT_TRUE((*store)->Write("k.json", "bytes").ok()) << backend;
-  }
+  EXPECT_EQ(write.code(), StatusCode::kIoError);
+  EXPECT_FALSE(*store.Contains("k.json"));
+  ASSERT_TRUE(store.Write("k.json", "bytes").ok());
 }
 
 TEST(BlobStoreTest, QuarantineUsesUniqueKeys) {
-  for (const char* backend : {"flat", "paged"}) {
-    std::string dir = FreshDir(std::string("blob_quar_") + backend);
-    Result<std::shared_ptr<BlobStore>> store =
-        OpenBlobStore(dir, backend, 64, false);
-    ASSERT_TRUE(store.ok());
-    ASSERT_TRUE((*store)->Write("k.json", "first damage").ok());
-    Result<std::string> first = (*store)->Quarantine("k.json");
-    ASSERT_TRUE(first.ok()) << backend;
-    ASSERT_TRUE((*store)->Write("k.json", "second damage").ok());
-    Result<std::string> second = (*store)->Quarantine("k.json");
-    ASSERT_TRUE(second.ok()) << backend;
-    // Two quarantines of the same key keep BOTH sets of evidence bytes.
-    EXPECT_NE(*first, *second) << backend;
-    EXPECT_FALSE(*(*store)->Contains("k.json")) << backend;
-  }
-  // Paged names are predictable keys; assert the exact scheme once.
-  std::string dir = FreshDir("blob_quar_names");
-  Result<std::shared_ptr<BlobStore>> store =
-      OpenBlobStore(dir, "paged", 64, false);
-  ASSERT_TRUE(store.ok());
-  ASSERT_TRUE((*store)->Write("k.json", "a").ok());
-  EXPECT_EQ(*(*store)->Quarantine("k.json"), "k.json.corrupt");
-  ASSERT_TRUE((*store)->Write("k.json", "b").ok());
-  EXPECT_EQ(*(*store)->Quarantine("k.json"), "k.json.corrupt.1");
-  EXPECT_EQ(*(*store)->Read("k.json.corrupt"), "a");
-  EXPECT_EQ(*(*store)->Read("k.json.corrupt.1"), "b");
-}
-
-TEST(BlobStoreTest, PagedStoreMigratesFlatFilesByteForByte) {
-  std::string dir = FreshDir("migrate");
-  // A pre-existing flat cache, exactly as the flat backend laid it down.
-  std::string cache_bytes =
-      AppendChecksumFooter("{\"records\": [1, 2, 3]}\n");
-  std::string journal_bytes = AppendChecksumFooter("{\"slot\": 0}\n");
-  {
-    FlatFileStore flat(dir);
-    ASSERT_TRUE(flat.Write("cell.json", cache_bytes).ok());
-    ASSERT_TRUE(flat.Write("cell.json.journal", journal_bytes).ok());
-  }
-  Result<std::shared_ptr<BlobStore>> store =
-      OpenBlobStore(dir, "paged", 64, false);
-  ASSERT_TRUE(store.ok());
-  // Contains sees the flat file before any migration...
-  EXPECT_TRUE(*(*store)->Contains("cell.json"));
-  // ...and Read absorbs it, byte for byte, footer included.
-  EXPECT_EQ(*(*store)->Read("cell.json"), cache_bytes);
-  EXPECT_EQ(*(*store)->Read("cell.json.journal"), journal_bytes);
-  // The flat originals stay on disk as fallback copies...
-  EXPECT_TRUE(std::filesystem::exists(dir + "/cell.json"));
-  // ...and the pages file now owns the keys.
-  PagedStore& paged =
-      static_cast<PagedBlobStore*>(store->get())->paged_store();
-  EXPECT_EQ(paged.entry_count(), 2u);
-  EXPECT_EQ(*paged.Get("cell.json"), cache_bytes);
-}
-
-TEST(BlobStoreTest, EnvSelectionAndStrictKnobParsing) {
-  std::string dir = FreshDir("env");
-  ::setenv("FAIRCLEAN_STORE", "paged", 1);
-  ::setenv("FAIRCLEAN_STORE_COMPRESS", "1", 1);
-  Result<std::shared_ptr<BlobStore>> store = OpenBlobStoreFromEnv(dir);
-  ASSERT_TRUE(store.ok()) << store.status().ToString();
-  EXPECT_STREQ((*store)->backend(), "paged");
-
-  ::setenv("FAIRCLEAN_STORE", "sqlite", 1);
-  EXPECT_EQ(OpenBlobStoreFromEnv(dir).status().code(),
-            StatusCode::kInvalidArgument);
-  ::setenv("FAIRCLEAN_STORE", "paged", 1);
-  ::setenv("FAIRCLEAN_STORE_COMPRESS", "yes", 1);
-  EXPECT_EQ(OpenBlobStoreFromEnv(dir).status().code(),
-            StatusCode::kInvalidArgument);
-
-  ::unsetenv("FAIRCLEAN_STORE");
-  ::unsetenv("FAIRCLEAN_STORE_COMPRESS");
-  store = OpenBlobStoreFromEnv(dir);
-  ASSERT_TRUE(store.ok());
-  EXPECT_STREQ((*store)->backend(), "flat");  // the default
+  std::string dir = FreshDir("blob_quar");
+  FlatFileStore store(dir);
+  ASSERT_TRUE(store.Write("k.json", "first damage").ok());
+  Result<std::string> first = store.Quarantine("k.json");
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_TRUE(store.Write("k.json", "second damage").ok());
+  Result<std::string> second = store.Quarantine("k.json");
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  // Two quarantines of the same key keep BOTH sets of evidence bytes.
+  EXPECT_EQ(*first, dir + "/k.json.corrupt");
+  EXPECT_EQ(*second, dir + "/k.json.corrupt.1");
+  EXPECT_EQ(*ReadFileToString(*first), "first damage");
+  EXPECT_EQ(*ReadFileToString(*second), "second damage");
+  EXPECT_FALSE(*store.Contains("k.json"));
 }
 
 }  // namespace
