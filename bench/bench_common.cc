@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <vector>
 
 #include "common/safe_io.h"
 #include "common/strings.h"
@@ -15,6 +16,10 @@
 namespace fairclean {
 namespace bench {
 
+namespace {
+
+// Sorts `samples` and reduces them to {iters, median, p95}. Zero samples
+// yield all-zero stats.
 BenchStats StatsFromSamples(std::vector<double> samples) {
   BenchStats stats;
   stats.iters = samples.size();
@@ -28,6 +33,8 @@ BenchStats StatsFromSamples(std::vector<double> samples) {
   stats.p95 = samples[std::min(rank, n) - 1];
   return stats;
 }
+
+}  // namespace
 
 Result<BenchStats> RunForkedBench(
     const std::string& label, size_t iters,

@@ -5,7 +5,6 @@
 #include <functional>
 #include <map>
 #include <string>
-#include <vector>
 
 #include "common/status.h"
 
@@ -19,10 +18,6 @@ struct BenchStats {
   double median = 0.0;  ///< p50 (midpoint average for even sample counts).
   double p95 = 0.0;     ///< nearest-rank p95 (the max for small samples).
 };
-
-/// Sorts `samples` and reduces them to {iters, median, p95}. Zero samples
-/// yield all-zero stats.
-BenchStats StatsFromSamples(std::vector<double> samples);
 
 /// Runs one benchmark body in a forked child and returns the order
 /// statistics of its per-iteration wall-clock times.

@@ -1,21 +1,14 @@
-// Telemetry-plane benchmark (DESIGN.md §14): the costs a scrape and the
-// always-on recorders impose on the serving path.
+// Telemetry benchmark: the costs the always-on recorders impose on every
+// instrumented call site.
 //
 // Measured:
-//   - scrape_json_us / scrape_prom_us   median latency of one `metrics`
-//     op payload render (ToJsonArray / ToPrometheus) over a registry
-//     populated like a warm server's (counters, gauges, latency
-//     histograms, sliding windows),
 //   - flight_on_ns / flight_off_ns      per-event cost of
 //     FlightRecorder::Record with the recorder enabled, and of the same
 //     call site when disabled (the guard-only path the suite pays when
 //     FAIRCLEAN_FLIGHT=off),
 //   - span_off_ns / span_flight_ns      per-span cost of a TraceSpan with
 //     all capture off vs flight-only capture (the §8 identity runs care
-//     about exactly this delta),
-//   - window_observe_ns                 one SlidingWindowHistogram
-//     observation on the hot path,
-//   - window_snapshot_us                one windowed percentile snapshot.
+//     about exactly this delta).
 //
 // Output: human summary on stdout, JSON report to --out
 // (default BENCH_obs.json). All medians of --rounds (default 5) rounds.
@@ -31,18 +24,14 @@
 
 #include "common/strings.h"
 #include "obs/flight.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
-#include "obs/window.h"
 
 namespace {
 
 using namespace fairclean;  // NOLINT
 
-constexpr size_t kScrapeRenders = 200;
 constexpr size_t kFlightEvents = 1000000;
 constexpr size_t kSpans = 200000;
-constexpr size_t kWindowObs = 1000000;
 
 double NowSeconds() {
   return std::chrono::duration<double>(
@@ -61,56 +50,12 @@ double Median(std::vector<double> values) {
   return values[values.size() / 2];
 }
 
-// A registry shaped like a warm advisor server's: lifecycle counters,
-// store gauges, latency histograms with observations spread across the
-// buckets, and the serve/store sliding windows.
-void Populate(obs::MetricsRegistry* registry) {
-  for (int i = 0; i < 40; ++i) {
-    registry->GetCounter(StrFormat("bench.counter_%02d", i))
-        ->Increment(static_cast<uint64_t>(i) * 1000 + 7);
-  }
-  for (int i = 0; i < 10; ++i) {
-    registry->GetGauge(StrFormat("bench.gauge_%02d", i))
-        ->Set(0.1 * static_cast<double>(i));
-  }
-  for (int i = 0; i < 8; ++i) {
-    obs::Histogram* histogram = registry->GetHistogram(
-        StrFormat("bench.latency_%02d", i),
-        obs::MetricsRegistry::DefaultLatencyBounds());
-    for (int j = 0; j < 1000; ++j) {
-      histogram->Observe(0.0005 * static_cast<double>((j % 200) + 1));
-    }
-  }
-  for (int i = 0; i < 4; ++i) {
-    obs::SlidingWindowHistogram* window = registry->GetWindowHistogram(
-        StrFormat("bench.window_%02d", i),
-        obs::MetricsRegistry::DefaultLatencyBounds(), 60.0);
-    for (int j = 0; j < 1000; ++j) {
-      window->Observe(0.0005 * static_cast<double>((j % 200) + 1));
-    }
-  }
-}
-
 struct Report {
-  double scrape_json_us = 0.0;
-  double scrape_prom_us = 0.0;
   double flight_on_ns = 0.0;
   double flight_off_ns = 0.0;
   double span_off_ns = 0.0;
   double span_flight_ns = 0.0;
-  double window_observe_ns = 0.0;
-  double window_snapshot_us = 0.0;
 };
-
-double TimeScrape(const obs::MetricsRegistry& registry, bool prometheus) {
-  double start = NowSeconds();
-  for (size_t i = 0; i < kScrapeRenders; ++i) {
-    std::string payload =
-        prometheus ? registry.ToPrometheus() : registry.ToJsonArray();
-    DoNotOptimize(payload);
-  }
-  return (NowSeconds() - start) / static_cast<double>(kScrapeRenders) * 1e6;
-}
 
 double TimeFlight() {
   const uint16_t site = obs::FlightRecorder::Site("bench.flight");
@@ -148,16 +93,9 @@ int Run(int argc, char** argv) {
   }
   if (rounds < 1) rounds = 1;
 
-  obs::MetricsRegistry registry;  // local: keeps Global() export clean
-  Populate(&registry);
-
   Report report;
-  std::vector<double> json_us, prom_us, on_ns, off_ns, span_off_ns,
-      span_flight_ns, obs_ns, snap_us;
+  std::vector<double> on_ns, off_ns, span_off_ns, span_flight_ns;
   for (int round = 0; round < rounds; ++round) {
-    json_us.push_back(TimeScrape(registry, /*prometheus=*/false));
-    prom_us.push_back(TimeScrape(registry, /*prometheus=*/true));
-
     obs::FlightRecorder::Disable();
     off_ns.push_back(TimeFlight());
     span_off_ns.push_back(TimeSpans());
@@ -165,55 +103,25 @@ int Run(int argc, char** argv) {
     on_ns.push_back(TimeFlight());
     span_flight_ns.push_back(TimeSpans());
     obs::FlightRecorder::Disable();
-
-    obs::SlidingWindowHistogram window(
-        obs::MetricsRegistry::DefaultLatencyBounds(), 60.0);
-    double start = NowSeconds();
-    for (size_t i = 0; i < kWindowObs; ++i) {
-      window.ObserveAt(0.0005 * static_cast<double>((i % 200) + 1), 1.0);
-    }
-    obs_ns.push_back((NowSeconds() - start) /
-                     static_cast<double>(kWindowObs) * 1e9);
-    start = NowSeconds();
-    for (size_t i = 0; i < 1000; ++i) {
-      obs::SlidingWindowHistogram::WindowSnapshot snapshot =
-          window.SnapshotAt(1.0);
-      DoNotOptimize(snapshot);
-    }
-    snap_us.push_back((NowSeconds() - start) / 1000.0 * 1e6);
   }
-  report.scrape_json_us = Median(json_us);
-  report.scrape_prom_us = Median(prom_us);
   report.flight_on_ns = Median(on_ns);
   report.flight_off_ns = Median(off_ns);
   report.span_off_ns = Median(span_off_ns);
   report.span_flight_ns = Median(span_flight_ns);
-  report.window_observe_ns = Median(obs_ns);
-  report.window_snapshot_us = Median(snap_us);
 
   std::printf("obs bench (%d rounds, medians):\n", rounds);
-  std::printf("  scrape json        %10.1f us\n", report.scrape_json_us);
-  std::printf("  scrape prometheus  %10.1f us\n", report.scrape_prom_us);
   std::printf("  flight record on   %10.1f ns/event\n", report.flight_on_ns);
   std::printf("  flight record off  %10.1f ns/event\n", report.flight_off_ns);
   std::printf("  span capture-off   %10.1f ns/span\n", report.span_off_ns);
   std::printf("  span flight-only   %10.1f ns/span\n",
               report.span_flight_ns);
-  std::printf("  window observe     %10.1f ns/obs\n",
-              report.window_observe_ns);
-  std::printf("  window snapshot    %10.1f us\n", report.window_snapshot_us);
 
   std::string json = StrFormat(
       "{\"bench\":\"obs\",\"rounds\":%d,"
-      "\"scrape\":{\"renders\":%zu,\"json_us\":%.1f,\"prometheus_us\":%.1f},"
       "\"flight\":{\"events\":%zu,\"on_ns\":%.1f,\"off_ns\":%.1f},"
-      "\"span\":{\"spans\":%zu,\"off_ns\":%.1f,\"flight_ns\":%.1f},"
-      "\"window\":{\"observations\":%zu,\"observe_ns\":%.1f,"
-      "\"snapshot_us\":%.1f}}\n",
-      rounds, kScrapeRenders, report.scrape_json_us, report.scrape_prom_us,
-      kFlightEvents, report.flight_on_ns, report.flight_off_ns, kSpans,
-      report.span_off_ns, report.span_flight_ns, kWindowObs,
-      report.window_observe_ns, report.window_snapshot_us);
+      "\"span\":{\"spans\":%zu,\"off_ns\":%.1f,\"flight_ns\":%.1f}}\n",
+      rounds, kFlightEvents, report.flight_on_ns, report.flight_off_ns,
+      kSpans, report.span_off_ns, report.span_flight_ns);
   std::ofstream out(out_path, std::ios::trunc);
   if (!out || !(out << json)) {
     std::fprintf(stderr, "cannot write %s\n", out_path.c_str());

@@ -239,14 +239,12 @@ void BM_PairedTTest(benchmark::State& state) {
 BENCHMARK(BM_PairedTTest);
 
 // --- Forked kernel microbenches (DESIGN.md §8) --------------------------
-// Each pair times an optimized kernel against the path it replaced; the
-// median/p95 per op and the pair ratios are written to BENCH_kernels.json
-// so CI can watch them. Every case runs in its own forked child
-// (bench/bench_common.h): setup untimed, >= 5 timed iterations, no warm
-// allocator or thread pool inherited from a previous case. The
-// per-round-sort GBDT ablation is NOT byte-identical to the presort path
-// (per-round std::sort resolves equal-key ties differently), which is why
-// it only exists behind the presort_reuse knob for benchmarking.
+// Each case times one hot kernel; a pair times an optimized kernel against
+// the path it replaced. The median/p95 per op and the pair ratios are
+// written to BENCH_kernels.json so CI can watch them. Every case runs in
+// its own forked child (bench/bench_common.h): setup untimed, >= 5 timed
+// iterations, no warm allocator or thread pool inherited from a previous
+// case.
 
 constexpr size_t kKnnBenchQueries = 256;
 
@@ -257,20 +255,10 @@ struct ForkedCase {
 
 std::vector<ForkedCase> KernelCases() {
   std::vector<ForkedCase> cases;
-  cases.push_back({"BM_GbdtFitPresortReuse/8000", [] {
+  cases.push_back({"BM_GbdtFit/8000", [] {
     auto data = std::make_shared<EncodedData>(EncodeAdult(8000));
     return std::function<void()>([data] {
       GradientBoostedTrees model;
-      Rng rng(19);
-      model.Fit(data->x, data->y, &rng).ok();
-    });
-  }});
-  cases.push_back({"BM_GbdtFitPerRoundSort/8000", [] {
-    auto data = std::make_shared<EncodedData>(EncodeAdult(8000));
-    return std::function<void()>([data] {
-      GbdtOptions options;
-      options.presort_reuse = false;
-      GradientBoostedTrees model(options);
       Rng rng(19);
       model.Fit(data->x, data->y, &rng).ok();
     });
@@ -358,8 +346,6 @@ void WriteKernelBenchJson(std::map<std::string, double> ops,
     const char* optimized;   // op key of the kernel
   };
   const KernelPair pairs[] = {
-      {"gbdt_presort_reuse_speedup", "BM_GbdtFitPerRoundSort/8000",
-       "BM_GbdtFitPresortReuse/8000"},
       {"fold_cache_speedup", "BM_TuningFoldDataPerGridPoint/4000",
        "BM_TuningFoldDataShared/4000"},
   };
@@ -376,9 +362,7 @@ void WriteKernelBenchJson(std::map<std::string, double> ops,
     std::printf("kernel %s: %.2fx (%s %.4fs -> %s %.4fs)\n", pair.label,
                 ratio, pair.baseline, baseline->second, pair.optimized,
                 optimized->second);
-    // GBDT fitting dominates the grid's compute, so its pair is the
-    // headline.
-    if (std::string(pair.label) == "gbdt_presort_reuse_speedup") {
+    if (std::string(pair.label) == "fold_cache_speedup") {
       headline_speedup = ratio;
     }
   }

@@ -22,7 +22,7 @@ double GetEnvDouble(const char* name, double default_value);
 std::string GetEnvString(const char* name, const std::string& default_value);
 
 /// Strict variant for count knobs (FAIRCLEAN_MAX_RETRIES, FAIRCLEAN_SAMPLE,
-/// queue depths): unset/empty yields `default_value`, anything else must be
+/// FAIRCLEAN_REPEATS): unset/empty yields `default_value`, anything else must be
 /// a non-negative decimal integer with no trailing garbage. Unlike
 /// GetEnvInt64, a typo'd knob is a hard InvalidArgument instead of a silent
 /// fallback — a misread scale or retry budget invalidates a run without
@@ -30,7 +30,7 @@ std::string GetEnvString(const char* name, const std::string& default_value);
 Result<int64_t> GetEnvCount(const char* name, int64_t default_value);
 
 /// Strict variant for budget/duration knobs (FAIRCLEAN_TIME_BUDGET_S,
-/// FAIRCLEAN_SERVE_DEADLINE_S): unset/empty yields `default_value`,
+/// FAIRCLEAN_SHARD_LEASE_S): unset/empty yields `default_value`,
 /// anything else must be a finite non-negative double with no trailing
 /// garbage ("3.5x", "nan", "inf" and "-1" are all InvalidArgument).
 Result<double> GetEnvBudgetSeconds(const char* name, double default_value);

@@ -29,12 +29,6 @@ int64_t QueueEnqueueStamp();
 /// Records now - enqueue_us into the "threadpool.queue_wait_s" histogram;
 /// no-op when enqueue_us < 0.
 void ObserveQueueWait(int64_t enqueue_us);
-/// The submitter's ambient trace id (0 = none), captured at Submit so the
-/// task inherits the request context it was spawned under.
-uint64_t SubmitTraceId();
-/// Installs `trace_id` as the worker's ambient context; returns the
-/// previous id so the task wrapper can restore it after running.
-uint64_t SwapTraceId(uint64_t trace_id);
 }  // namespace internal
 
 /// Fixed-size worker pool used to fan out independent units of work
@@ -73,16 +67,11 @@ class ThreadPool {
         std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
     std::future<R> future = task->get_future();
     int64_t enqueue_us = internal::QueueEnqueueStamp();
-    uint64_t trace_id = internal::SubmitTraceId();
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      queue_.push([task, enqueue_us, trace_id]() {
-        // The task runs under the submitter's trace id, so repeat slices
-        // fanned out by a request's driver still tag its spans.
-        uint64_t previous = internal::SwapTraceId(trace_id);
+      queue_.push([task, enqueue_us]() {
         internal::ObserveQueueWait(enqueue_us);
         (*task)();  // packaged_task captures exceptions; never throws here
-        internal::SwapTraceId(previous);
       });
     }
     cv_.notify_one();

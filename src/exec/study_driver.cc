@@ -335,12 +335,8 @@ double StudyDriver::ElapsedSeconds() const {
 }
 
 bool StudyDriver::BudgetExhausted() const {
-  if (options_.time_budget_s > 0.0 &&
-      ElapsedSeconds() > options_.time_budget_s) {
-    return true;
-  }
-  return options_.deadline.has_value() &&
-         std::chrono::steady_clock::now() > *options_.deadline;
+  return options_.time_budget_s > 0.0 &&
+         ElapsedSeconds() > options_.time_budget_s;
 }
 
 StudyDriver::SlotOutcome StudyDriver::ComputeSlot(
@@ -576,18 +572,11 @@ Result<CleaningExperimentResult> StudyDriver::RunOrLoad(
 
   auto deadline_error = [&](size_t done) {
     metrics_.GetGauge("driver.budget_exhausted")->Set(1.0);
-    const bool budget_tripped =
-        options_.time_budget_s > 0.0 &&
-        ElapsedSeconds() > options_.time_budget_s;
-    std::string limit =
-        budget_tripped
-            ? StrFormat("time budget of %.1fs exhausted after %.1fs",
-                        options_.time_budget_s, ElapsedSeconds())
-            : "request deadline exceeded";
     return Status::DeadlineExceeded(StrFormat(
-        "%s; %zu/%zu repeats of %s/%s/%s are checkpointed — re-run to resume",
-        limit.c_str(), done, num_repeats, dataset.spec.name.c_str(),
-        error_type.c_str(), model.c_str()));
+        "time budget of %.1fs exhausted after %.1fs; %zu/%zu repeats of "
+        "%s/%s/%s are checkpointed — re-run to resume",
+        options_.time_budget_s, ElapsedSeconds(), done, num_repeats,
+        dataset.spec.name.c_str(), error_type.c_str(), model.c_str()));
   };
 
   if (threads <= 1 || resume_from + 1 >= num_repeats) {
@@ -614,11 +603,11 @@ Result<CleaningExperimentResult> StudyDriver::RunOrLoad(
     // makes every slice independent of its siblings, so computing them out
     // of order cannot change any score, and in-order merging keeps the
     // journal (and the resulting cache) byte-identical to the sequential
-    // path. The "interrupt" fault site and the deadline stay driver-side
+    // path. The "interrupt" fault site and the time budget stay driver-side
     // decisions made at merge time, preserving resume semantics.
     //
     // The pool is scoped to this call: its destructor runs every submitted
-    // task, so an early return (deadline, injected interrupt) cannot leave
+    // task, so an early return (time budget, injected interrupt) cannot leave
     // a worker touching dead locals. Slots scheduled after the budget
     // expires bail out via budget_skipped without computing.
     ThreadPool pool(std::min(threads, num_repeats - resume_from));

@@ -48,13 +48,6 @@ struct StudyDriverOptions {
   /// DeadlineExceeded at the next repeat boundary instead of being killed
   /// mid-write; re-running resumes from the journal.
   double time_budget_s = 0.0;
-  /// Absolute per-request deadline (steady clock). Where time_budget_s is
-  /// process-scoped (measured from driver construction), the deadline is
-  /// stamped by a caller that existed before this driver — the serving
-  /// layer marks it at request admission, so queue wait counts against it.
-  /// Both limits are enforced; whichever trips first checkpoints the
-  /// journal and returns DeadlineExceeded at the next repeat boundary.
-  std::optional<std::chrono::steady_clock::time_point> deadline;
   /// Worker threads the driver fans repeat slices out across. 0 resolves
   /// FAIRCLEAN_THREADS (whose own default is hardware_concurrency); 1 runs
   /// the historical strictly-sequential path. Results are byte-identical

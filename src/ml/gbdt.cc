@@ -72,7 +72,7 @@ Status GradientBoostedTrees::Fit(const Matrix& x, const std::vector<int>& y,
   PresortedFeatures owned_presort;
   if (presorted != nullptr) {
     shared_presorts->Increment();
-  } else if (options_.presort_reuse) {
+  } else {
     owned_presort = PresortedFeatures::Compute(x);
     presorted = &owned_presort;
   }
@@ -102,11 +102,7 @@ Status GradientBoostedTrees::Fit(const Matrix& x, const std::vector<int>& y,
     }
 
     RegressionTree tree;
-    if (presorted == nullptr) {
-      // Ablation path (presort_reuse = false): per-round sort, the cost the
-      // shared presort eliminates.
-      FC_RETURN_IF_ERROR(tree.Fit(x, grad, hess, sample, tree_options));
-    } else if (sample.size() < n) {
+    if (sample.size() < n) {
       // Derive this round's subsampled per-feature order by a stable
       // membership filter of the global order: the scan sequence (and so
       // every float sum) matches scanning the full order and skipping

@@ -22,13 +22,6 @@ struct GbdtOptions {
   /// values < 1 make training depend on the Fit rng, mirroring the paper's
   /// per-seed model instances.
   double subsample = 0.8;
-  /// Bench/ablation knob: when false, every boosting round re-sorts its
-  /// subsample from scratch instead of filtering the shared presort. The
-  /// per-round sort orders ties between equal feature values differently
-  /// than the stable filter, so scores are NOT byte-identical across the
-  /// two settings — keep true everywhere except perf_micro's on/off
-  /// comparison.
-  bool presort_reuse = true;
   RegressionTreeOptions tree;
 };
 

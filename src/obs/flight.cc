@@ -52,7 +52,7 @@ void EnsureSiteZero() {
 // ---------------------------------------------------------------------------
 // Rings. One per recording thread, registered in a fixed global array the
 // dumper walks. Rings are recycled through a free list when their thread
-// exits, so a server that churns short-lived driver threads does not grow
+// exits, so a process that churns short-lived threads does not grow
 // memory without bound — a recycled ring keeps its history (the dead
 // thread's last events stay in the next dump) and its original tid.
 
@@ -249,8 +249,7 @@ void FlightRecorder::Init() {
     if (!g_explicit_toggle.load(std::memory_order_relaxed)) {
       SetEnabled(enable);
     }
-    // A recorder that only dumps when a server asks for it is half a black
-    // box: every binary that records must also dump on a fatal signal, so
+    // A recorder that only dumps when asked to is half a black box: every binary that records must also dump on a fatal signal, so
     // the handler is installed here rather than per entry point. Disarmed
     // (FAIRCLEAN_FLIGHT=off) processes keep their default dispositions.
     if (enable) InstallCrashHandler();
@@ -376,8 +375,6 @@ const char* FlightEventTypeName(uint8_t type) {
       return "span_end";
     case FlightEventType::kFault:
       return "fault";
-    case FlightEventType::kShed:
-      return "shed";
     case FlightEventType::kCheckpoint:
       return "checkpoint";
     case FlightEventType::kDeadline:

@@ -11,7 +11,7 @@ namespace obs {
 
 /// Always-on crash flight recorder (DESIGN.md §14): every thread owns a
 /// lock-free ring of compact 16-byte binary events (span begin/end, fault
-/// fires, request sheds, journal checkpoints). The enabled cost per event
+/// fires, journal checkpoints, deadlines). The enabled cost per event
 /// is a clock read plus a handful of stores into thread-local memory — no
 /// locks, no allocation after the ring exists — so the recorder stays
 /// armed in production and the last seconds before a crash are always
@@ -19,8 +19,8 @@ namespace obs {
 ///
 /// The rings are dumped to a single binary file (`fairclean.flight` by
 /// default) on a fatal signal, on deadline exhaustion, or on an explicit
-/// request (the server's `flight` op). Dumps go through a temp file and a
-/// rename, so a reader finds a complete dump or none — never a torn one.
+/// Dump() call. Dumps go through a temp file and a rename, so a reader
+/// finds a complete dump or none — never a torn one.
 /// FAIRCLEAN_FLIGHT overrides the dump path ("off" disables the recorder);
 /// FAIRCLEAN_FLIGHT_EVENTS sizes the per-thread ring (default 4096 events,
 /// rounded up to a power of two).
@@ -29,7 +29,8 @@ enum class FlightEventType : uint8_t {
   kSpanBegin = 1,    ///< site = span category; arg = span depth
   kSpanEnd = 2,      ///< site = span category; arg = duration in us
   kFault = 3,        ///< site = "fault:<site>"; injected fault fired
-  kShed = 6,         ///< site = "serve.shed"; admission or connection shed
+  // 4-6 are retired event types; their numbers stay reserved so older
+  // dumps still decode unambiguously.
   kCheckpoint = 7,   ///< site = "exec.checkpoint"; journal snapshot written
   kDeadline = 8,     ///< site names the layer that tripped the deadline
   kMark = 9,         ///< free-form marker (tests, tools)

@@ -79,6 +79,27 @@ MetricsRegistry* g_global_instance = nullptr;
 
 }  // namespace
 
+double PercentileFromBuckets(const std::vector<double>& bounds,
+                             const std::vector<uint64_t>& bucket_counts,
+                             uint64_t count, double min, double max,
+                             double p) {
+  if (count == 0) return 0.0;
+  if (p <= 0.0) return min;
+  if (p >= 100.0) return max;
+  // Rank of the target observation (1-based, ceil).
+  uint64_t rank = static_cast<uint64_t>(p / 100.0 * count);
+  if (rank == 0) rank = 1;
+  uint64_t cumulative = 0;
+  for (size_t i = 0; i < bucket_counts.size(); ++i) {
+    cumulative += bucket_counts[i];
+    if (cumulative >= rank) {
+      const double upper = i < bounds.size() ? bounds[i] : max;
+      return std::clamp(upper, min, max);
+    }
+  }
+  return max;
+}
+
 Histogram::Histogram(std::vector<double> bounds)
     : bounds_(std::move(bounds)),
       buckets_(new std::atomic<uint64_t>[bounds_.size() + 1]),
@@ -186,19 +207,6 @@ Histogram* MetricsRegistry::GetHistogram(const std::string& name,
   return slot.get();
 }
 
-SlidingWindowHistogram* MetricsRegistry::GetWindowHistogram(
-    const std::string& name, const std::vector<double>& bounds,
-    double window_s) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::unique_ptr<SlidingWindowHistogram>& slot = windows_[name];
-  if (slot == nullptr) {
-    slot.reset(new SlidingWindowHistogram(
-        bounds,
-        window_s > 0.0 ? window_s : DefaultMetricsWindowSeconds()));
-  }
-  return slot.get();
-}
-
 void MetricsRegistry::StartPeriodicExport(double interval_s) {
   StopPeriodicExport();
   if (!(interval_s > 0.0)) return;
@@ -300,24 +308,6 @@ std::vector<MetricSnapshot> MetricsRegistry::Snapshot() const {
     snapshot.bucket_counts = histogram->bucket_counts();
     out.push_back(std::move(snapshot));
   }
-  for (const auto& [name, window] : windows_) {
-    SlidingWindowHistogram::WindowSnapshot view = window->Snapshot();
-    MetricSnapshot snapshot;
-    snapshot.kind = MetricSnapshot::Kind::kHistogram;
-    snapshot.name = name;
-    snapshot.windowed = true;
-    snapshot.window_s = view.window_s;
-    snapshot.count = view.count;
-    snapshot.sum = view.sum;
-    snapshot.min = view.min;
-    snapshot.max = view.max;
-    snapshot.p50 = view.p50;
-    snapshot.p95 = view.p95;
-    snapshot.p99 = view.p99;
-    snapshot.bounds = window->bounds();
-    snapshot.bucket_counts = std::move(view.bucket_counts);
-    out.push_back(std::move(snapshot));
-  }
   std::sort(out.begin(), out.end(),
             [](const MetricSnapshot& a, const MetricSnapshot& b) {
               return a.name < b.name;
@@ -327,7 +317,7 @@ std::vector<MetricSnapshot> MetricsRegistry::Snapshot() const {
 
 namespace {
 
-// One JSON object, shared by the JSONL export and the `metrics` op array.
+// One JSON object: one line of the JSONL export.
 void AppendMetricJson(std::ostringstream& out,
                       const MetricSnapshot& snapshot) {
   out << "{\"metric\":\"" << JsonEscape(snapshot.name) << "\"";
@@ -347,11 +337,8 @@ void AppendMetricJson(std::ostringstream& out,
           << ",\"max\":" << FormatDouble(snapshot.max)
           << ",\"p50\":" << FormatDouble(snapshot.p50)
           << ",\"p95\":" << FormatDouble(snapshot.p95)
-          << ",\"p99\":" << FormatDouble(snapshot.p99);
-      if (snapshot.windowed) {
-        out << ",\"window_s\":" << FormatDouble(snapshot.window_s);
-      }
-      out << ",\"bounds\":[";
+          << ",\"p99\":" << FormatDouble(snapshot.p99)
+          << ",\"bounds\":[";
       for (size_t i = 0; i < snapshot.bounds.size(); ++i) {
         out << (i == 0 ? "" : ",") << FormatDouble(snapshot.bounds[i]);
       }
@@ -366,18 +353,6 @@ void AppendMetricJson(std::ostringstream& out,
   out << "}";
 }
 
-// Prometheus metric names: [a-zA-Z_:][a-zA-Z0-9_:]*.
-std::string PrometheusName(const std::string& name) {
-  std::string out = name;
-  for (char& c : out) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '_';
-    if (!ok) c = '_';
-  }
-  if (!out.empty() && out[0] >= '0' && out[0] <= '9') out.insert(0, "_");
-  return out;
-}
-
 }  // namespace
 
 std::string MetricsRegistry::ToJsonl() const {
@@ -385,69 +360,6 @@ std::string MetricsRegistry::ToJsonl() const {
   for (const MetricSnapshot& snapshot : Snapshot()) {
     AppendMetricJson(out, snapshot);
     out << "\n";
-  }
-  return out.str();
-}
-
-std::string MetricsRegistry::ToJsonArray() const {
-  std::ostringstream out;
-  out << "[";
-  bool first = true;
-  for (const MetricSnapshot& snapshot : Snapshot()) {
-    if (!first) out << ",";
-    AppendMetricJson(out, snapshot);
-    first = false;
-  }
-  out << "]";
-  return out.str();
-}
-
-std::string MetricsRegistry::ToPrometheus() const {
-  std::ostringstream out;
-  for (const MetricSnapshot& snapshot : Snapshot()) {
-    const std::string name = PrometheusName(snapshot.name);
-    switch (snapshot.kind) {
-      case MetricSnapshot::Kind::kCounter:
-        out << "# TYPE " << name << " counter\n"
-            << name << " " << static_cast<uint64_t>(snapshot.value) << "\n";
-        break;
-      case MetricSnapshot::Kind::kGauge:
-        out << "# TYPE " << name << " gauge\n"
-            << name << " " << FormatDouble(snapshot.value) << "\n";
-        break;
-      case MetricSnapshot::Kind::kHistogram: {
-        if (snapshot.windowed) {
-          // Windowed histograms scrape as summaries: the quantiles are the
-          // point of a window, and cumulative buckets over a sliding span
-          // would be misleading.
-          out << "# TYPE " << name << " summary\n"
-              << name << "{quantile=\"0.5\"} " << FormatDouble(snapshot.p50)
-              << "\n"
-              << name << "{quantile=\"0.95\"} "
-              << FormatDouble(snapshot.p95) << "\n"
-              << name << "{quantile=\"0.99\"} "
-              << FormatDouble(snapshot.p99) << "\n"
-              << name << "_sum " << FormatDouble(snapshot.sum) << "\n"
-              << name << "_count " << snapshot.count << "\n";
-          break;
-        }
-        out << "# TYPE " << name << " histogram\n";
-        uint64_t cumulative = 0;
-        for (size_t i = 0; i < snapshot.bucket_counts.size(); ++i) {
-          cumulative += snapshot.bucket_counts[i];
-          if (i < snapshot.bounds.size()) {
-            out << name << "_bucket{le=\""
-                << FormatDouble(snapshot.bounds[i]) << "\"} " << cumulative
-                << "\n";
-          } else {
-            out << name << "_bucket{le=\"+Inf\"} " << cumulative << "\n";
-          }
-        }
-        out << name << "_sum " << FormatDouble(snapshot.sum) << "\n"
-            << name << "_count " << snapshot.count << "\n";
-        break;
-      }
-    }
   }
   return out.str();
 }

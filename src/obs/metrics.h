@@ -9,8 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/window.h"
-
 namespace fairclean {
 namespace obs {
 
@@ -19,9 +17,8 @@ class Counter;
 namespace internal {
 extern std::atomic<bool> g_metrics_export_enabled;
 
-/// Process-wide obs.dropped_samples counter (non-finite observations,
-/// observations older than a sliding window). Lives in the global
-/// registry; created on first drop.
+/// Process-wide obs.dropped_samples counter (non-finite observations).
+/// Lives in the global registry; created on first drop.
 Counter* DroppedSamplesCounter();
 
 struct PeriodicExporter;
@@ -33,6 +30,13 @@ struct PeriodicExporter;
 inline bool MetricsExportEnabled() {
   return internal::g_metrics_export_enabled.load(std::memory_order_relaxed);
 }
+
+/// Percentile estimate from a bucket distribution: the upper bound of the
+/// bucket holding the p-th observation, clamped to [min, max].
+double PercentileFromBuckets(const std::vector<double>& bounds,
+                             const std::vector<uint64_t>& bucket_counts,
+                             uint64_t count, double min, double max,
+                             double p);
 
 /// Monotonic counter. Increment is one relaxed fetch_add (plus one more on
 /// the parent sink when this counter lives in a scoped registry).
@@ -115,8 +119,6 @@ struct MetricSnapshot {
   double p50 = 0.0;       // histogram
   double p95 = 0.0;       // histogram
   double p99 = 0.0;       // histogram
-  bool windowed = false;  // true for sliding-window histograms
-  double window_s = 0.0;  // seconds the snapshot covers (windowed only)
   std::vector<double> bounds;          // histogram
   std::vector<uint64_t> bucket_counts; // histogram, bounds.size() + 1
 };
@@ -144,13 +146,6 @@ class MetricsRegistry {
   /// `bounds` are ascending upper bounds; used only on first creation.
   Histogram* GetHistogram(const std::string& name,
                           const std::vector<double>& bounds);
-  /// Sliding-window histogram covering the last `window_s` seconds
-  /// (<= 0 picks the FAIRCLEAN_METRICS_WINDOW_S default). Window
-  /// instruments do not forward to a parent registry: they live where
-  /// scrapes happen (the serving layer uses Global()).
-  SlidingWindowHistogram* GetWindowHistogram(
-      const std::string& name, const std::vector<double>& bounds,
-      double window_s = 0.0);
 
   /// Starts exporting this registry as JSONL to `path` at process exit.
   void EnableExport(const std::string& path);
@@ -159,12 +154,13 @@ class MetricsRegistry {
 
   /// Spawns a background thread rewriting the export file every
   /// `interval_s` seconds (atomically, via temp file + rename), so a
-  /// resident server leaves fresh snapshots behind even when it is later
-  /// killed. Replaces nothing: the at-exit export still runs.
+  /// long run leaves fresh snapshots behind even when it is later killed.
+  /// Replaces nothing: the at-exit export still runs.
   void StartPeriodicExport(double interval_s);
   void StopPeriodicExport();
 
-  /// Writes the export file immediately (SIGTERM / server shutdown path).
+  /// Writes the export file immediately (the at-exit hook and the
+  /// periodic exporter both flush through this).
   /// Returns false when no export path is configured or the write fails.
   bool FlushExport();
 
@@ -174,16 +170,6 @@ class MetricsRegistry {
   /// One JSON object per line, e.g.
   ///   {"metric":"driver.retries","type":"counter","value":2}
   std::string ToJsonl() const;
-
-  /// The same objects as ToJsonl, as one JSON array (the server's
-  /// `metrics` op payload).
-  std::string ToJsonArray() const;
-
-  /// Prometheus-style text exposition: counters/gauges as single samples,
-  /// histograms as cumulative le-labelled buckets + _sum/_count, windowed
-  /// histograms as quantile-labelled summaries. Metric names are
-  /// sanitized (non-alphanumerics become '_').
-  std::string ToPrometheus() const;
 
   /// Writes ToJsonl() to `path`. Returns false on IO failure.
   bool WriteJsonlFile(const std::string& path) const;
@@ -201,7 +187,6 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
-  std::map<std::string, std::unique_ptr<SlidingWindowHistogram>> windows_;
   std::string export_path_;
   bool atexit_registered_ = false;
   std::unique_ptr<internal::PeriodicExporter> exporter_;

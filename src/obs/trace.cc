@@ -13,7 +13,6 @@
 #include "obs/flight.h"
 #include "obs/json_lite.h"
 #include "obs/log.h"
-#include "obs/trace_context.h"
 
 namespace fairclean {
 namespace obs {
@@ -41,7 +40,6 @@ struct Event {
   uint32_t tid;
   int64_t ts_us;
   int64_t dur_us;
-  uint64_t trace_id;  // 0 = no request context
 };
 
 // One per thread that ever traced. Owned jointly by the thread (via a
@@ -59,8 +57,8 @@ struct ThreadBuffer {
 thread_local std::string t_pending_thread_name;
 thread_local std::shared_ptr<ThreadBuffer> t_buffer;
 
-// Span-nesting depth on this thread, maintained by TraceSpan Begin/End so
-// the trace store can render span trees without timestamp heuristics.
+// Span-nesting depth on this thread, maintained by TraceSpan Begin/End and
+// recorded with each flight-recorder span-begin event.
 thread_local uint32_t t_span_depth = 0;
 
 // Immutable trace epoch, fixed the first time anyone asks (the singleton's
@@ -140,50 +138,21 @@ int64_t Tracer::NowMicros() const {
 }
 
 void Tracer::RecordComplete(const char* category, std::string name,
-                            int64_t ts_us, int64_t dur_us, uint32_t depth) {
-  const uint32_t mask = CaptureMask();
-  const uint64_t trace_id = CurrentTraceId();
+                            int64_t ts_us, int64_t dur_us) {
+  if (!TraceEnabled()) return;
   ThreadBuffer* buffer = impl_->BufferForThisThread();
-  if ((mask & internal::kCaptureStore) != 0 && trace_id != 0) {
-    StoredSpan span;
-    span.name = name;
-    span.category = category;
-    span.phase = 'X';
-    span.tid = buffer->tid;
-    span.depth = depth;
-    span.ts_us = ts_us;
-    span.dur_us = dur_us;
-    internal::TraceStoreRecord(trace_id, std::move(span));
-  }
-  if ((mask & internal::kCaptureFile) != 0) {
-    std::lock_guard<std::mutex> lock(buffer->mutex);
-    buffer->events.push_back(Event{std::move(name), category, 'X',
-                                   buffer->tid, ts_us, dur_us, trace_id});
-  }
+  std::lock_guard<std::mutex> lock(buffer->mutex);
+  buffer->events.push_back(
+      Event{std::move(name), category, 'X', buffer->tid, ts_us, dur_us});
 }
 
 void Tracer::RecordInstant(const char* category, std::string name) {
-  const uint32_t mask = CaptureMask();
-  const uint64_t trace_id = CurrentTraceId();
+  if (!TraceEnabled()) return;
   const int64_t ts_us = NowMicros();
   ThreadBuffer* buffer = impl_->BufferForThisThread();
-  if ((mask & internal::kCaptureStore) != 0 && trace_id != 0) {
-    StoredSpan span;
-    span.name = name;
-    span.category = category;
-    span.phase = 'i';
-    span.tid = buffer->tid;
-    span.depth = t_span_depth;
-    span.ts_us = ts_us;
-    span.dur_us = 0;
-    internal::TraceStoreRecord(trace_id, std::move(span));
-  }
-  if ((mask & internal::kCaptureFile) != 0) {
-    std::lock_guard<std::mutex> lock(buffer->mutex);
-    buffer->events.push_back(
-        Event{std::move(name), category, 'i', buffer->tid, ts_us, 0,
-              trace_id});
-  }
+  std::lock_guard<std::mutex> lock(buffer->mutex);
+  buffer->events.push_back(
+      Event{std::move(name), category, 'i', buffer->tid, ts_us, 0});
 }
 
 void Tracer::SetCurrentThreadName(const std::string& name) {
@@ -258,10 +227,6 @@ void Tracer::Flush() {
     } else if (event.phase == 'i') {
       out << ",\"s\":\"t\"";
     }
-    if (event.trace_id != 0) {
-      out << ",\"args\":{\"trace\":\"" << TraceIdHex(event.trace_id)
-          << "\"}";
-    }
     out << "}";
     first = false;
   }
@@ -299,10 +264,8 @@ void TraceSpan::End() {
         clamped > 0xffffffffULL ? 0xffffffffu
                                 : static_cast<uint32_t>(clamped));
   }
-  if ((CaptureMask() &
-       (internal::kCaptureFile | internal::kCaptureStore)) != 0) {
-    tracer.RecordComplete(category_, std::move(name_), start_us_, dur_us,
-                          depth_);
+  if (TraceEnabled()) {
+    tracer.RecordComplete(category_, std::move(name_), start_us_, dur_us);
   }
 }
 

@@ -16,8 +16,7 @@ namespace internal {
 extern std::atomic<uint32_t> g_capture_mask;
 
 constexpr uint32_t kCaptureFile = 1u;    ///< FAIRCLEAN_TRACE Chrome JSON file
-constexpr uint32_t kCaptureStore = 2u;   ///< in-memory per-trace span store
-constexpr uint32_t kCaptureFlight = 4u;  ///< crash flight recorder rings
+constexpr uint32_t kCaptureFlight = 2u;  ///< crash flight recorder rings
 
 void SetCaptureBit(uint32_t bit, bool on);
 }  // namespace internal
@@ -29,12 +28,12 @@ inline uint32_t CaptureMask() {
 
 /// True when the trace *file* sink is active (FAIRCLEAN_TRACE / Enable()).
 /// Callers that format work only for the trace file key off this; the
-/// flight recorder and trace store have their own bits.
+/// flight recorder has its own bit.
 inline bool TraceEnabled() {
   return (CaptureMask() & internal::kCaptureFile) != 0;
 }
 
-/// True when any span sink (file, trace store, flight recorder) is active.
+/// True when any span sink (file, flight recorder) is active.
 inline bool SpanCaptureEnabled() { return CaptureMask() != 0; }
 
 /// Span-based tracer emitting Chrome trace-event JSON (the format Perfetto
@@ -52,11 +51,6 @@ inline bool SpanCaptureEnabled() { return CaptureMask() != 0; }
 /// no control flow, and writes only to its own file, so scores, caches and
 /// journals are byte-identical with tracing on or off (enforced by
 /// tests/exec/observability_test.cc).
-///
-/// Spans recorded while a TraceContextScope (trace_context.h) is active on
-/// the thread are tagged with that request's trace id — in the trace file
-/// as "args":{"trace":"<hex>"} and, when the trace store sink is on, as
-/// retained StoredSpans answering the server's `trace` op.
 class Tracer {
  public:
   /// Process-wide tracer (constructed on first use; reads FAIRCLEAN_TRACE
@@ -77,15 +71,13 @@ class Tracer {
   /// Microseconds since the trace epoch (first Enable).
   int64_t NowMicros() const;
 
-  /// Records a complete ("ph":"X") event: into the calling thread's file
-  /// buffer when the file sink is on, and into the per-trace store when
-  /// that sink is on and a trace id is active. `depth` is the span-nesting
-  /// depth used to render stored span trees.
+  /// Records a complete ("ph":"X") event into the calling thread's file
+  /// buffer when the file sink is on.
   void RecordComplete(const char* category, std::string name, int64_t ts_us,
-                      int64_t dur_us, uint32_t depth = 0);
+                      int64_t dur_us);
 
   /// Records an instant ("ph":"i") event, e.g. a fault-injection fire.
-  /// Routed to the same sinks as RecordComplete.
+  /// Routed to the same sink as RecordComplete.
   void RecordInstant(const char* category, std::string name);
 
   /// Names the calling thread in the trace ("worker-2"). Cheap and safe to
@@ -128,7 +120,7 @@ class TraceSpan {
   }
 
   /// Dynamic-name span; the callable (returning std::string) runs only
-  /// when a name-carrying sink (file or store) is enabled:
+  /// when the name-carrying file sink is enabled:
   ///   TraceSpan span("exec", [&] { return StrFormat("repeat r%zu", r); });
   template <typename NameFn,
             typename = std::enable_if_t<
@@ -137,7 +129,7 @@ class TraceSpan {
     uint32_t mask = CaptureMask();
     if (mask != 0) {
       Begin(mask, category,
-            (mask & (internal::kCaptureFile | internal::kCaptureStore)) != 0
+            (mask & internal::kCaptureFile) != 0
                 ? std::forward<NameFn>(name_fn)()
                 : std::string());
     }
@@ -172,8 +164,7 @@ inline void InitTraceFromEnv() { Tracer::Global(); }
 
 /// Instant event helper with the same disabled-path guarantee as TraceSpan.
 inline void TraceInstant(const char* category, const char* name) {
-  if ((CaptureMask() &
-       (internal::kCaptureFile | internal::kCaptureStore)) != 0) {
+  if (TraceEnabled()) {
     Tracer::Global().RecordInstant(category, name);
   }
 }

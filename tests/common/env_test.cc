@@ -59,8 +59,8 @@ TEST(EnvTest, ReadsString) {
 }
 
 // The strict parsers (GetEnvCount / GetEnvBudgetSeconds) back the knobs
-// where a silent fallback would run a whole suite or server at an
-// unintended scale: they error instead of defaulting.
+// where a silent fallback would run a whole suite at an unintended scale:
+// they error instead of defaulting.
 
 TEST(EnvTest, CountParsesAndDefaults) {
   unsetenv("FAIRCLEAN_TEST_KNOB");

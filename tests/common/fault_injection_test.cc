@@ -127,10 +127,10 @@ TEST_F(FaultInjectionTest, RejectsUnknownSites) {
   EXPECT_FALSE(FaultInjector::Global().enabled());
 }
 
-TEST_F(FaultInjectionTest, KnownSitesCoverServingLifecycle) {
+TEST_F(FaultInjectionTest, KnownSitesCoverBatchBoundaries) {
   const std::vector<std::string>& sites = FaultInjector::KnownSites();
-  for (const char* site : {"socket_read", "socket_write", "request_parse",
-                           "worker_stall", "cache_read", "cache_write"}) {
+  for (const char* site : {"cache_read", "cache_write", "csv_parse",
+                           "interrupt", "numeric", "plan_build"}) {
     EXPECT_NE(std::find(sites.begin(), sites.end(), site), sites.end())
         << site;
     ASSERT_TRUE(FaultInjector::Global()
@@ -138,6 +138,12 @@ TEST_F(FaultInjectionTest, KnownSitesCoverServingLifecycle) {
                     .ok());
     EXPECT_TRUE(FaultInjector::Global().ShouldFire(site));
   }
+  EXPECT_EQ(sites.size(), 6u);
+  // Retired sites are unknown: a spec naming one is rejected whole.
+  Status status = FaultInjector::Global().Configure("socket_read:1", 1);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("unknown fault site \"socket_read\""),
+            std::string::npos);
 }
 
 TEST_F(FaultInjectionTest, EmptySpecDisarms) {

@@ -21,7 +21,7 @@ std::string TempPath(const std::string& name) {
 }
 
 // The recorder is process-global; every test leaves it disabled so the
-// trace/serve tests in this binary keep their capture expectations.
+// trace tests in this binary keep their capture expectations.
 class FlightTest : public testing::Test {
  protected:
   void TearDown() override { FlightRecorder::Disable(); }
@@ -43,8 +43,8 @@ TEST_F(FlightTest, RecordDumpDecodeRoundTrip) {
   for (uint32_t i = 0; i < 10; ++i) {
     FlightRecorder::Record(FlightEventType::kMark, site, i);
   }
-  FlightRecorder::Record(FlightEventType::kShed,
-                         FlightRecorder::Site("serve.shed"), 42);
+  FlightRecorder::Record(FlightEventType::kMark,
+                         FlightRecorder::Site("flight.other"), 42);
 
   const std::string path = TempPath("roundtrip.flight");
   std::string error;
@@ -59,7 +59,7 @@ TEST_F(FlightTest, RecordDumpDecodeRoundTrip) {
 
   // This thread's ring holds the 11 events just recorded, in order, with
   // monotone timestamps and intact args.
-  size_t marks = 0, sheds = 0;
+  size_t marks = 0, others = 0;
   uint64_t last_ts = 0;
   uint32_t next_arg = 0;
   for (const FlightDump::Thread& thread : dump.threads) {
@@ -67,22 +67,22 @@ TEST_F(FlightTest, RecordDumpDecodeRoundTrip) {
       EXPECT_GE(entry.ts_us, last_ts);
       last_ts = entry.ts_us;
       if (entry.site != site &&
-          dump.sites[entry.site] != "serve.shed") {
+          dump.sites[entry.site] != "flight.other") {
         continue;
       }
-      if (entry.type == static_cast<uint8_t>(FlightEventType::kMark)) {
+      EXPECT_EQ(entry.type, static_cast<uint8_t>(FlightEventType::kMark));
+      if (entry.site == site) {
         EXPECT_EQ(entry.arg, next_arg++);
         ++marks;
-      } else if (entry.type ==
-                 static_cast<uint8_t>(FlightEventType::kShed)) {
+      } else {
         EXPECT_EQ(entry.arg, 42u);
-        ++sheds;
+        ++others;
       }
     }
     last_ts = 0;  // ordering only holds within one thread's ring
   }
   EXPECT_EQ(marks, 10u);
-  EXPECT_EQ(sheds, 1u);
+  EXPECT_EQ(others, 1u);
   std::filesystem::remove(path);
 }
 
@@ -215,9 +215,10 @@ TEST_F(FlightTest, EventTypeNamesDecodeAndTolerateGarbage) {
       FlightEventTypeName(static_cast<uint8_t>(FlightEventType::kSpanBegin)),
       "span_begin");
   EXPECT_STREQ(
-      FlightEventTypeName(static_cast<uint8_t>(FlightEventType::kShed)),
-      "shed");
+      FlightEventTypeName(static_cast<uint8_t>(FlightEventType::kMark)),
+      "mark");
   EXPECT_STREQ(FlightEventTypeName(0), "?");
+  EXPECT_STREQ(FlightEventTypeName(6), "?");  // retired type number
   EXPECT_STREQ(FlightEventTypeName(200), "?");
 }
 

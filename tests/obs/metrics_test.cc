@@ -1,6 +1,7 @@
 #include "obs/metrics.h"
 
 #include <future>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -173,6 +174,93 @@ TEST(MetricsRegistryTest, DefaultLatencyBoundsAreAscending) {
   for (size_t i = 1; i < bounds.size(); ++i) {
     EXPECT_LT(bounds[i - 1], bounds[i]);
   }
+}
+
+// ----------------------------------------------- PercentileFromBuckets --
+
+TEST(PercentileFromBucketsTest, EdgePercentilesReturnMinAndMax) {
+  std::vector<double> bounds = {1.0, 10.0};
+  std::vector<uint64_t> buckets = {3, 2, 0};
+  EXPECT_DOUBLE_EQ(
+      PercentileFromBuckets(bounds, buckets, 5, 0.2, 7.0, 0.0), 0.2);
+  EXPECT_DOUBLE_EQ(
+      PercentileFromBuckets(bounds, buckets, 5, 0.2, 7.0, -5.0), 0.2);
+  EXPECT_DOUBLE_EQ(
+      PercentileFromBuckets(bounds, buckets, 5, 0.2, 7.0, 100.0), 7.0);
+  EXPECT_DOUBLE_EQ(
+      PercentileFromBuckets(bounds, buckets, 5, 0.2, 7.0, 250.0), 7.0);
+}
+
+TEST(PercentileFromBucketsTest, EmptyDistributionIsZeroEverywhere) {
+  std::vector<double> bounds = {1.0};
+  std::vector<uint64_t> buckets = {0, 0};
+  for (double p : {0.0, 50.0, 100.0}) {
+    EXPECT_DOUBLE_EQ(PercentileFromBuckets(bounds, buckets, 0, 0.0, 0.0, p),
+                     0.0)
+        << "p=" << p;
+  }
+}
+
+TEST(PercentileFromBucketsTest, SingleObservationIsEveryPercentile) {
+  std::vector<double> bounds = {1.0, 10.0};
+  std::vector<uint64_t> buckets = {0, 1, 0};
+  for (double p : {0.0, 1.0, 50.0, 99.0, 100.0}) {
+    // The bucket bound (10.0) clamps to the only value ever seen.
+    EXPECT_DOUBLE_EQ(
+        PercentileFromBuckets(bounds, buckets, 1, 4.2, 4.2, p), 4.2)
+        << "p=" << p;
+  }
+}
+
+TEST(PercentileFromBucketsTest, OverflowBucketClampsToMax) {
+  // Everything above the last bound lands in the implicit overflow bucket,
+  // which has no upper bound of its own — the observed max caps it.
+  std::vector<double> bounds = {1.0};
+  std::vector<uint64_t> buckets = {1, 9};
+  EXPECT_DOUBLE_EQ(
+      PercentileFromBuckets(bounds, buckets, 10, 0.5, 123.0, 95.0), 123.0);
+  // The p that still lands in the first bucket uses its bound, floored at
+  // the observed min.
+  EXPECT_DOUBLE_EQ(
+      PercentileFromBuckets(bounds, buckets, 10, 0.5, 123.0, 10.0), 1.0);
+}
+
+TEST(HistogramPercentileTest, SingleObservationAndOverflowEdges) {
+  MetricsRegistry registry;
+  Histogram* one = registry.GetHistogram("one", {1.0, 10.0});
+  one->Observe(3.0);
+  EXPECT_DOUBLE_EQ(one->Percentile(0.0), 3.0);
+  EXPECT_DOUBLE_EQ(one->Percentile(50.0), 3.0);
+  EXPECT_DOUBLE_EQ(one->Percentile(100.0), 3.0);
+
+  Histogram* overflow = registry.GetHistogram("overflow", {1.0});
+  overflow->Observe(50.0);   // overflow bucket
+  overflow->Observe(500.0);  // overflow bucket
+  EXPECT_DOUBLE_EQ(overflow->Percentile(100.0), 500.0);
+  EXPECT_DOUBLE_EQ(overflow->Percentile(0.0), 50.0);
+  // All mass beyond the last bound: bucket "upper" is the observed max.
+  EXPECT_DOUBLE_EQ(overflow->Percentile(75.0), 500.0);
+}
+
+// -------------------------------------------------- NaN / Inf rejection --
+
+TEST(DroppedSamplesTest, NonFiniteObservationsCountedNotRecorded) {
+  Counter* dropped =
+      MetricsRegistry::Global().GetCounter("obs.dropped_samples");
+  uint64_t before = dropped->value();
+
+  MetricsRegistry registry;
+  Histogram* histogram = registry.GetHistogram("nan", {1.0});
+  histogram->Observe(std::numeric_limits<double>::quiet_NaN());
+  histogram->Observe(std::numeric_limits<double>::infinity());
+  histogram->Observe(-std::numeric_limits<double>::infinity());
+  EXPECT_EQ(histogram->count(), 0u);
+  EXPECT_EQ(dropped->value(), before + 3);
+
+  // Finite observations still land after the rejected ones.
+  histogram->Observe(0.5);
+  EXPECT_EQ(histogram->count(), 1u);
+  EXPECT_EQ(dropped->value(), before + 3);
 }
 
 }  // namespace

@@ -1,12 +1,8 @@
 #include "sched/artifact_store.h"
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -64,9 +60,9 @@ TEST(ArtifactStoreTest, DeterministicFailureIsMemoized) {
 }
 
 TEST(ArtifactStoreTest, TransientFailureIsNotMemoized) {
-  // A deadline expiry checkpoints the journal and must not poison the key:
-  // the next request re-runs the producer and resumes. Same for overload
-  // shedding (Unavailable).
+  // A time-budget expiry checkpoints the journal and must not poison the
+  // key: the next request re-runs the producer and resumes. Same for a
+  // resource held elsewhere (Unavailable).
   for (const Status& transient :
        {Status::DeadlineExceeded("out of time"),
         Status::Unavailable("shed")}) {
@@ -87,65 +83,6 @@ TEST(ArtifactStoreTest, TransientFailureIsNotMemoized) {
     EXPECT_EQ(*static_cast<const int*>(second->get()), 42);
     EXPECT_EQ(calls.load(), 2);
   }
-}
-
-TEST(ArtifactStoreTest, WaiterDeadlineExpiresWithoutDisturbingOwner) {
-  obs::MetricsRegistry metrics;
-  ArtifactStore store(&metrics);
-
-  std::mutex gate_mutex;
-  std::condition_variable gate_cv;
-  bool owner_started = false;
-  bool release_owner = false;
-
-  std::thread owner([&] {
-    Result<std::shared_ptr<const void>> value = store.GetOrCreate(
-        "slow", [&]() -> Result<std::shared_ptr<const void>> {
-          // Producing proves ownership; announce it, then hold production
-          // until the waiter has timed out.
-          std::unique_lock<std::mutex> lock(gate_mutex);
-          owner_started = true;
-          gate_cv.notify_all();
-          gate_cv.wait(lock, [&] { return release_owner; });
-          return MakeInt(5);
-        });
-    EXPECT_TRUE(value.ok());
-  });
-
-  // Only query once the owner demonstrably holds the key, so this thread
-  // is deterministically a waiter.
-  {
-    std::unique_lock<std::mutex> lock(gate_mutex);
-    gate_cv.wait(lock, [&] { return owner_started; });
-  }
-  Result<std::shared_ptr<const void>> waited = store.GetOrCreate(
-      "slow",
-      []() -> Result<std::shared_ptr<const void>> { return MakeInt(9); },
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(20));
-  // EXPECT (not ASSERT): the owner thread must always be released+joined,
-  // even on failure.
-  EXPECT_FALSE(waited.ok());
-  if (!waited.ok()) {
-    EXPECT_EQ(waited.status().code(), StatusCode::kDeadlineExceeded);
-    EXPECT_NE(
-        waited.status().message().find(
-            "deadline expired waiting for in-flight production of slow"),
-        std::string::npos);
-  }
-
-  {
-    std::lock_guard<std::mutex> lock(gate_mutex);
-    release_owner = true;
-  }
-  gate_cv.notify_all();
-  owner.join();
-
-  // The owner's production completed untouched; the value is memoized.
-  Result<std::shared_ptr<const void>> value = store.GetOrCreate(
-      "slow",
-      []() -> Result<std::shared_ptr<const void>> { return MakeInt(9); });
-  ASSERT_TRUE(value.ok());
-  EXPECT_EQ(*static_cast<const int*>(value->get()), 5);
 }
 
 TEST(ArtifactStoreTest, KeysAreSorted) {

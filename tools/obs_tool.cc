@@ -1,33 +1,17 @@
-// Operator console for the telemetry plane (DESIGN.md §14).
-//
-// Live mode — polls a running advisor server's `metrics` op and renders
-// interval deltas, the way `top` renders /proc:
-//   obs_tool live --port P [--host H] [--interval S] [--count N]
-// Counters print as rates over the poll interval, gauges as their current
-// value, and sliding-window histograms as the server-side window's
-// count/p50/p95/p99 (already limited to FAIRCLEAN_METRICS_WINDOW_S
-// seconds, so a quiet server decays to zero instead of averaging its
-// whole life).
-//
-// Offline mode — digests artifacts the plane leaves on disk:
-//   obs_tool metrics <metrics.jsonl>     # periodic exporter output
+// Offline digests of the telemetry artifacts a run leaves on disk:
+//   obs_tool metrics <metrics.jsonl>     # FAIRCLEAN_METRICS exporter output
 //   obs_tool flight <fairclean.flight>   # crash/deadline/explicit dump
 // The flight digest prints the dump header, per-thread ring occupancy,
 // per-site event counts, and the newest events last (the crash is at the
 // bottom, where eyes land).
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <map>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "common/safe_io.h"
 #include "obs/flight.h"
 #include "obs/json_lite.h"
-#include "serve/client.h"
 
 namespace {
 
@@ -35,95 +19,9 @@ using namespace fairclean;  // NOLINT
 
 int Usage() {
   std::fprintf(stderr,
-               "usage: obs_tool live --port P [--host H] [--interval S] "
-               "[--count N]\n"
-               "       obs_tool metrics <metrics.jsonl>\n"
+               "usage: obs_tool metrics <metrics.jsonl>\n"
                "       obs_tool flight <fairclean.flight>\n");
   return 2;
-}
-
-// ---------------------------------------------------------------- live --
-
-struct MetricRow {
-  std::string type;
-  double value = 0.0;   // counter/gauge
-  double count = 0.0;   // histograms
-  double p50 = 0.0, p95 = 0.0, p99 = 0.0, max = 0.0;
-  double window_s = 0.0;  // > 0: sliding window
-};
-
-std::map<std::string, MetricRow> ParseScrape(const obs::JsonValue& metrics) {
-  std::map<std::string, MetricRow> rows;
-  for (const obs::JsonValue& entry : metrics.array_items) {
-    MetricRow row;
-    row.type = entry.StringOr("type", "?");
-    row.value = entry.NumberOr("value", 0.0);
-    row.count = entry.NumberOr("count", 0.0);
-    row.p50 = entry.NumberOr("p50", 0.0);
-    row.p95 = entry.NumberOr("p95", 0.0);
-    row.p99 = entry.NumberOr("p99", 0.0);
-    row.max = entry.NumberOr("max", 0.0);
-    row.window_s = entry.NumberOr("window_s", 0.0);
-    rows[entry.StringOr("metric", "?")] = row;
-  }
-  return rows;
-}
-
-int RunLive(const std::string& host, int port, double interval_s,
-            long ticks) {
-  serve::AdvisorClient client(host, static_cast<uint16_t>(port));
-  std::map<std::string, MetricRow> previous;
-  for (long tick = 0; ticks < 0 || tick < ticks; ++tick) {
-    Result<serve::AdvisorResponse> response =
-        client.Call("{\"op\":\"metrics\",\"id\":\"obs_tool\"}");
-    if (!response.ok()) {
-      std::fprintf(stderr, "scrape failed: %s\n",
-                   response.status().ToString().c_str());
-      return 1;
-    }
-    if (!response->ok()) {
-      std::fprintf(stderr, "server error: %s\n", response->error.c_str());
-      return 3;
-    }
-    const obs::JsonValue* metrics = response->json.Find("metrics");
-    if (metrics == nullptr || !metrics->is_array()) {
-      std::fprintf(stderr, "malformed scrape: no metrics array\n");
-      return 1;
-    }
-    std::map<std::string, MetricRow> rows = ParseScrape(*metrics);
-
-    std::printf("== scrape %ld (%s:%d, every %.1fs) ==\n", tick,
-                host.c_str(), port, interval_s);
-    std::printf("%-40s %-10s %14s\n", "metric", "type", "value");
-    for (const auto& [name, row] : rows) {
-      if (row.type == "counter") {
-        double delta = row.value;
-        auto it = previous.find(name);
-        if (it != previous.end()) delta = row.value - it->second.value;
-        std::printf("%-40s %-10s %14.0f  (+%.1f/s)\n", name.c_str(),
-                    "counter", row.value,
-                    tick == 0 ? 0.0 : delta / interval_s);
-      } else if (row.type == "gauge") {
-        std::printf("%-40s %-10s %14g\n", name.c_str(), "gauge", row.value);
-      } else if (row.window_s > 0.0) {
-        std::printf(
-            "%-40s %-10s n=%-8.0f p50=%-9g p95=%-9g p99=%-9g (%gs win)\n",
-            name.c_str(), "window", row.count, row.p50, row.p95, row.p99,
-            row.window_s);
-      } else {
-        std::printf("%-40s %-10s n=%-8.0f p50=%-9g p95=%-9g max=%g\n",
-                    name.c_str(), "histogram", row.count, row.p50, row.p95,
-                    row.max);
-      }
-    }
-    std::printf("\n");
-    std::fflush(stdout);
-    previous = std::move(rows);
-    if (ticks < 0 || tick + 1 < ticks) {
-      std::this_thread::sleep_for(std::chrono::duration<double>(interval_s));
-    }
-  }
-  return 0;
 }
 
 // ------------------------------------------------------------- metrics --
@@ -153,15 +51,9 @@ int DigestMetricsJsonl(const std::string& path) {
     }
     std::string name = value.StringOr("metric", "?");
     std::string type = value.StringOr("type", "?");
-    double window_s = value.NumberOr("window_s", 0.0);
     if (type == "counter" || type == "gauge") {
       std::printf("  %-44s %-8s %12g\n", name.c_str(), type.c_str(),
                   value.NumberOr("value", 0.0));
-    } else if (type == "histogram" && window_s > 0.0) {
-      std::printf("  %-44s window   n=%.0f p50=%g p95=%g p99=%g (%gs)\n",
-                  name.c_str(), value.NumberOr("count", 0.0),
-                  value.NumberOr("p50", 0.0), value.NumberOr("p95", 0.0),
-                  value.NumberOr("p99", 0.0), window_s);
     } else if (type == "histogram") {
       std::printf("  %-44s histo    n=%.0f sum=%g p50=%g p95=%g p99=%g\n",
                   name.c_str(), value.NumberOr("count", 0.0),
@@ -240,32 +132,7 @@ int Run(int argc, char** argv) {
     if (argc != 3) return Usage();
     return DecodeFlight(argv[2]);
   }
-  if (mode != "live") return Usage();
-
-  std::string host = "127.0.0.1";
-  int port = -1;
-  double interval_s = 2.0;
-  long ticks = -1;
-  for (int i = 2; i < argc; ++i) {
-    auto value = [&](const char* flag) -> const char* {
-      if (std::strcmp(argv[i], flag) == 0 && i + 1 < argc) return argv[++i];
-      return nullptr;
-    };
-    if (const char* v = value("--host")) {
-      host = v;
-    } else if (const char* v = value("--port")) {
-      port = std::atoi(v);
-    } else if (const char* v = value("--interval")) {
-      interval_s = std::atof(v);
-    } else if (const char* v = value("--count")) {
-      ticks = std::atol(v);
-    } else {
-      return Usage();
-    }
-  }
-  if (port <= 0 || port > 65535) return Usage();
-  if (!(interval_s > 0.0)) interval_s = 2.0;
-  return RunLive(host, port, interval_s, ticks);
+  return Usage();
 }
 
 }  // namespace

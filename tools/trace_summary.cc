@@ -53,17 +53,6 @@ struct SiteStats {
   std::vector<double> durations_us;
 };
 
-/// One request's digest, grouped by the trace id spans are tagged with.
-struct TraceStats {
-  size_t spans = 0;
-  size_t instants = 0;          ///< fault fires and sheds in this request
-  double busy_us = 0.0;         ///< sum of span durations (overlaps count)
-  double first_ts_us = 1e300;   ///< earliest span start
-  double last_end_us = 0.0;     ///< latest span end
-  double slowest_us = 0.0;
-  std::string slowest;          ///< name of the longest span
-};
-
 /// One Kahn wave's scheduler cost split: shared-plan materialization
 /// (sched.plan.build spans) vs cell compute (sched.cell spans).
 struct WaveStats {
@@ -132,18 +121,11 @@ int SummarizeTrace(const std::string& path, const std::string& filter) {
   std::map<std::string, SiteStats> sites;
   std::map<std::string, int64_t> instants;
   std::map<double, std::string> thread_names;
-  // Request digests, keyed by the trace id the server stamps into each
-  // span's args.trace at admission.
-  std::map<std::string, TraceStats> traces;
   // Scheduler wave breakdown, keyed by wave index.
   std::map<size_t, WaveStats> waves;
   size_t complete_events = 0;
   for (const obs::JsonValue& event : events->array_items) {
     std::string phase = event.StringOr("ph", "");
-    std::string trace_id;
-    if (const obs::JsonValue* args = event.Find("args")) {
-      trace_id = args->StringOr("trace", "");
-    }
     if (phase == "X") {
       ++complete_events;
       std::string key = event.StringOr("cat", "?") + "\t" +
@@ -169,21 +151,8 @@ int SummarizeTrace(const std::string& path, const std::string& filter) {
           }
         }
       }
-      if (!trace_id.empty()) {
-        TraceStats& stats = traces[trace_id];
-        ++stats.spans;
-        stats.busy_us += dur_us;
-        double ts = event.NumberOr("ts", 0.0);
-        stats.first_ts_us = std::min(stats.first_ts_us, ts);
-        stats.last_end_us = std::max(stats.last_end_us, ts + dur_us);
-        if (dur_us > stats.slowest_us) {
-          stats.slowest_us = dur_us;
-          stats.slowest = event.StringOr("name", "?");
-        }
-      }
     } else if (phase == "i" || phase == "I") {
       ++instants[event.StringOr("name", "?")];
-      if (!trace_id.empty()) ++traces[trace_id].instants;
     } else if (phase == "M" &&
                event.StringOr("name", "") == "thread_name") {
       const obs::JsonValue* args = event.Find("args");
@@ -252,19 +221,6 @@ int SummarizeTrace(const std::string& path, const std::string& filter) {
     std::printf("\nthreads:\n");
     for (const auto& [tid, name] : thread_names) {
       std::printf("  tid %-4.0f %s\n", tid, name.c_str());
-    }
-  }
-  if (!traces.empty()) {
-    std::printf("\nper-request digests (%zu traces):\n", traces.size());
-    std::printf("  %-18s %6s %6s %10s %10s  %s\n", "trace", "spans",
-                "inst", "wall_ms", "busy_ms", "slowest span");
-    for (const auto& [trace_id, stats] : traces) {
-      double wall_us =
-          stats.spans > 0 ? stats.last_end_us - stats.first_ts_us : 0.0;
-      std::printf("  %-18s %6zu %6zu %10.3f %10.3f  %s (%.3f ms)\n",
-                  trace_id.c_str(), stats.spans, stats.instants,
-                  wall_us / 1e3, stats.busy_us / 1e3,
-                  stats.slowest.c_str(), stats.slowest_us / 1e3);
     }
   }
   return 0;
